@@ -20,9 +20,7 @@ type Structures struct {
 	PT *pagetable.Table // authoritative page table (required)
 	RT *rmm.RangeTable  // authoritative range table (nil without ranges)
 
-	L14K  *tlb.SetAssoc // L1-4KB TLB, or the mixed L1 when MixedL1
-	L12M  *tlb.SetAssoc // nil when absent
-	L11G  *tlb.SetAssoc // nil when absent
+	L1    []PageTLB     // L1 page TLBs in probe order
 	L2    *tlb.SetAssoc // unified L2 page TLB (size-qualified keys)
 	L1Rng *tlb.RangeTLB // nil when absent
 	L2Rng *tlb.RangeTLB // nil when absent
@@ -31,16 +29,22 @@ type Structures struct {
 
 	Lite *lite.Controller // nil for non-Lite configurations
 
-	// MixedL1 marks configurations whose L1 holds multiple page sizes
-	// under size-qualified keys (TLB_PP and the predictor extensions).
-	MixedL1 bool
-
 	// DB prices structures for the independent energy re-derivation.
 	DB *energy.DB
 	// WalkRefPJ is the energy of one page-walk memory reference,
 	// re-derived by the caller from the energy database and walk-locality
 	// parameter (not taken from the simulator's cached copy).
 	WalkRefPJ float64
+}
+
+// PageTLB is one page TLB and the page size of the VPNs it caches.
+type PageTLB struct {
+	TLB  *tlb.SetAssoc
+	Size addr.PageSize
+	// Mixed marks a TLB holding multiple page sizes under size-qualified
+	// keys (the unified L2, and the L1 of TLB_PP and the predictor
+	// extensions); Size is then unused.
+	Mixed bool
 }
 
 // energyEvent is one observed charge-worthy event of an access: a probe

@@ -37,18 +37,12 @@ func (a *Auditor) AuditNow(b *energy.Breakdown, shadowPJ float64) {
 	a.stats.StructuralAudits++
 
 	// Per-structure invariants.
-	for _, t := range []*tlb.SetAssoc{a.st.L14K, a.st.L12M, a.st.L11G, a.st.L2} {
-		if t == nil {
-			continue
-		}
-		if err := t.CheckInvariants(); err != nil {
-			a.violate(CheckStructure, t.Name(), 0, "%v", err)
-		}
+	for _, t := range a.st.L1 {
+		a.checkInvariants(t.TLB)
 	}
+	a.checkInvariants(a.st.L2)
 	for _, t := range a.st.MMU {
-		if err := t.CheckInvariants(); err != nil {
-			a.violate(CheckStructure, t.Name(), 0, "%v", err)
-		}
+		a.checkInvariants(t)
 	}
 	for _, t := range []*tlb.RangeTLB{a.st.L1Rng, a.st.L2Rng} {
 		if t == nil {
@@ -66,21 +60,11 @@ func (a *Auditor) AuditNow(b *energy.Breakdown, shadowPJ float64) {
 
 	// Page-TLB / page-table coherence. The MMU paging-structure caches
 	// are skipped: they hold interior nodes, not leaf translations.
-	if a.st.L14K != nil {
-		if a.st.MixedL1 {
-			a.checkMixedTLB(a.st.L14K)
-		} else {
-			a.checkPageTLB(a.st.L14K, addr.Page4K)
-		}
-	}
-	if a.st.L12M != nil {
-		a.checkPageTLB(a.st.L12M, addr.Page2M)
-	}
-	if a.st.L11G != nil {
-		a.checkPageTLB(a.st.L11G, addr.Page1G)
+	for _, t := range a.st.L1 {
+		a.checkPageTLB(t)
 	}
 	if a.st.L2 != nil {
-		a.checkMixedTLB(a.st.L2)
+		a.checkPageTLB(PageTLB{TLB: a.st.L2, Mixed: true})
 	}
 
 	// Range-TLB / range-table coherence.
@@ -102,26 +86,30 @@ func (a *Auditor) AuditNow(b *energy.Breakdown, shadowPJ float64) {
 	}
 }
 
-// checkPageTLB verifies every entry of a single-size page TLB against
-// the page table.
-func (a *Auditor) checkPageTLB(t *tlb.SetAssoc, sz addr.PageSize) {
-	t.ForEach(func(e tlb.Entry) {
-		va := addr.VA(e.Key << sz.Shift())
-		a.checkCachedPage(t.Name(), e, va, sz)
-	})
+// checkInvariants runs a page TLB's own invariants, if it is present.
+func (a *Auditor) checkInvariants(t *tlb.SetAssoc) {
+	if t == nil {
+		return
+	}
+	if err := t.CheckInvariants(); err != nil {
+		a.violate(CheckStructure, t.Name(), 0, "%v", err)
+	}
 }
 
-// checkMixedTLB verifies every entry of a size-qualified TLB (the
-// unified L2, or a mixed L1) against the page table.
-func (a *Auditor) checkMixedTLB(t *tlb.SetAssoc) {
-	t.ForEach(func(e tlb.Entry) {
-		va, sz, ok := decodeMixed(e.Key)
+// checkPageTLB verifies every entry of a page TLB against the page
+// table.
+func (a *Auditor) checkPageTLB(t PageTLB) {
+	t.TLB.ForEach(func(e tlb.Entry) {
+		va, sz, ok := addr.VA(e.Key<<t.Size.Shift()), t.Size, true
+		if t.Mixed {
+			va, sz, ok = decodeMixed(e.Key)
+		}
 		if !ok {
-			a.violate(CheckTLBCoherence, t.Name(), 0,
+			a.violate(CheckTLBCoherence, t.TLB.Name(), 0,
 				"entry key %#x encodes invalid page size %d", e.Key, int(sz))
 			return
 		}
-		a.checkCachedPage(t.Name(), e, va, sz)
+		a.checkCachedPage(t.TLB.Name(), e, va, sz)
 	})
 }
 

@@ -36,7 +36,7 @@ func TestCrossConfigInvariants(t *testing.T) {
 				trace.Weighted{Stream: trace.Zipf(window(reg), 1.6, 6), Weight: 0.8},
 				trace.Weighted{Stream: trace.Uniform(window(reg), 7), Weight: 0.2},
 			)
-			res := sim.Run(trace.NewGenerator(stream, 3), 600_000)
+			res := mustRun(t, sim, trace.NewGenerator(stream, 3), 600_000)
 			st := sim.StructureStats()
 
 			if res.L1Hits()+res.L1Misses != res.MemRefs {
@@ -80,11 +80,8 @@ func TestCrossConfigInvariants(t *testing.T) {
 }
 
 func checkAllStructures(s *Simulator) error {
-	if err := s.l14k.CheckInvariants(); err != nil {
-		return err
-	}
-	if s.l12m != nil {
-		if err := s.l12m.CheckInvariants(); err != nil {
+	for _, t := range s.l1 {
+		if err := t.tlb.CheckInvariants(); err != nil {
 			return err
 		}
 	}
@@ -116,7 +113,7 @@ func TestLiteCostBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Run(trace.NewGenerator(trace.Zipf(window(reg), 2.2, 3), 3), 3_000_000)
+		return mustRun(t, sim, trace.NewGenerator(trace.Zipf(window(reg), 2.2, 3), 3), 3_000_000)
 	}
 	thp := build(CfgTHP)
 	lite := build(CfgTLBLite)

@@ -22,9 +22,7 @@ type Metrics struct {
 
 	accesses     *telemetry.Counter
 	instructions *telemetry.Counter
-	hits4K       *telemetry.Counter
-	hits2M       *telemetry.Counter
-	hits1G       *telemetry.Counter
+	hits         [3]*telemetry.Counter // L1 page hits by page size
 	hitsRange    *telemetry.Counter
 	l1Misses     *telemetry.Counter
 	l2Misses     *telemetry.Counter
@@ -74,9 +72,9 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"simulators currently inside RunContext"),
 	}
 	const hitHelp = "L1 hits by providing structure kind"
-	m.hits4K = reg.Counter("xlate_tlb_l1_hits_total", hitHelp, telemetry.L("kind", "4k"))
-	m.hits2M = reg.Counter("xlate_tlb_l1_hits_total", hitHelp, telemetry.L("kind", "2m"))
-	m.hits1G = reg.Counter("xlate_tlb_l1_hits_total", hitHelp, telemetry.L("kind", "1g"))
+	for sz, kind := range [3]string{"4k", "2m", "1g"} {
+		m.hits[sz] = reg.Counter("xlate_tlb_l1_hits_total", hitHelp, telemetry.L("kind", kind))
+	}
 	m.hitsRange = reg.Counter("xlate_tlb_l1_hits_total", hitHelp, telemetry.L("kind", "range"))
 	for a := energy.Account(0); a < energy.NumAccounts; a++ {
 		m.energy[a] = reg.FloatCounter("xlate_energy_picojoules_total",
@@ -126,15 +124,12 @@ type teleState struct {
 	structs []structFlush
 }
 
-// teleSnapshot mirrors the flushed subset of runStats.
+// teleSnapshot is what the flush publishes: the run statistics plus the
+// counters the range table and the Lite controller keep.
 type teleSnapshot struct {
-	memRefs, instructions              uint64
-	hits4K, hits2M, hits1G, hitsRange  uint64
-	l1Misses, l2Misses, walkRefs       uint64
-	pageFaults, shootdowns, missCycles uint64
-	rangeWalks, rangeRefs              uint64
-	liteResizes, liteReacts            uint64
-	energy                             energy.Breakdown
+	st                      runStats
+	rangeWalks, rangeRefs   uint64
+	liteResizes, liteReacts uint64
 }
 
 // attachTelemetry wires the simulator to the shared metrics and/or
@@ -149,12 +144,8 @@ func (s *Simulator) attachTelemetry(m *Metrics, tr *telemetry.Tracer) {
 		bind := func(name string, stats func() tlb.Stats) {
 			t.structs = append(t.structs, structFlush{stats: stats, dst: m.structCounters(name)})
 		}
-		bind(energy.L14KB, s.l14k.Stats)
-		if s.l12m != nil {
-			bind(energy.L12MB, s.l12m.Stats)
-		}
-		if s.l11g != nil {
-			bind(energy.L11GB, s.l11g.Stats)
+		for _, t := range s.l1 {
+			bind(t.name, t.tlb.Stats)
 		}
 		bind(energy.L2Page, s.l2.Stats)
 		if s.l1rng != nil {
@@ -199,21 +190,7 @@ func (s *Simulator) flushTelemetry() {
 		return
 	}
 	m, last := t.m, &t.last
-	cur := teleSnapshot{
-		memRefs:      s.st.memRefs,
-		instructions: s.st.instructions,
-		hits4K:       s.st.hits4K,
-		hits2M:       s.st.hits2M,
-		hits1G:       s.st.hits1G,
-		hitsRange:    s.st.hitsRange,
-		l1Misses:     s.st.l1Misses,
-		l2Misses:     s.st.l2Misses,
-		walkRefs:     s.st.walkRefs,
-		pageFaults:   s.st.pageFaults,
-		shootdowns:   s.st.shootdowns,
-		missCycles:   s.st.cycles,
-		energy:       s.st.energy,
-	}
+	cur := teleSnapshot{st: s.st}
 	if s.rt != nil {
 		cur.rangeWalks, cur.rangeRefs = s.rt.Stats()
 	}
@@ -221,24 +198,25 @@ func (s *Simulator) flushTelemetry() {
 		cur.liteResizes = s.ctl.Resizes()
 		cur.liteReacts = s.ctl.Reactivations()
 	}
-	m.accesses.Add(cur.memRefs - last.memRefs)
-	m.instructions.Add(cur.instructions - last.instructions)
-	m.hits4K.Add(cur.hits4K - last.hits4K)
-	m.hits2M.Add(cur.hits2M - last.hits2M)
-	m.hits1G.Add(cur.hits1G - last.hits1G)
-	m.hitsRange.Add(cur.hitsRange - last.hitsRange)
-	m.l1Misses.Add(cur.l1Misses - last.l1Misses)
-	m.l2Misses.Add(cur.l2Misses - last.l2Misses)
-	m.walkRefs.Add(cur.walkRefs - last.walkRefs)
-	m.pageFaults.Add(cur.pageFaults - last.pageFaults)
-	m.shootdowns.Add(cur.shootdowns - last.shootdowns)
-	m.missCycles.Add(cur.missCycles - last.missCycles)
+	c, l := &cur.st, &last.st
+	m.accesses.Add(c.memRefs - l.memRefs)
+	m.instructions.Add(c.instructions - l.instructions)
+	for sz := range c.hits {
+		m.hits[sz].Add(c.hits[sz] - l.hits[sz])
+	}
+	m.hitsRange.Add(c.hitsRange - l.hitsRange)
+	m.l1Misses.Add(c.l1Misses - l.l1Misses)
+	m.l2Misses.Add(c.l2Misses - l.l2Misses)
+	m.walkRefs.Add(c.walkRefs - l.walkRefs)
+	m.pageFaults.Add(c.pageFaults - l.pageFaults)
+	m.shootdowns.Add(c.shootdowns - l.shootdowns)
+	m.missCycles.Add(c.cycles - l.cycles)
 	m.rangeWalks.Add(cur.rangeWalks - last.rangeWalks)
 	m.rangeRefs.Add(cur.rangeRefs - last.rangeRefs)
 	m.liteResizes.Add(cur.liteResizes - last.liteResizes)
 	m.liteReacts.Add(cur.liteReacts - last.liteReacts)
-	for a := range cur.energy {
-		if d := cur.energy[a] - last.energy[a]; d != 0 {
+	for a := range c.energy {
+		if d := c.energy[a] - l.energy[a]; d != 0 {
 			m.energy[a].Add(d)
 		}
 	}

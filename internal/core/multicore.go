@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -58,22 +60,27 @@ func (m *Multicore) Core(i int) *Simulator { return m.sims[i] }
 // per-core instruction budget, and returns the per-core results plus
 // the aggregate. Results are deterministic: each core's simulation is
 // sequential and self-contained, so scheduling order cannot affect
-// outcomes.
+// outcomes. A core whose run fails (see RunContext) still reports
+// its partial Result; the returned error joins every core's failure.
 func (m *Multicore) Run(gens []trace.RefSource, instrsPerCore uint64) ([]Result, Result, error) {
 	if len(gens) != len(m.sims) {
 		return nil, Result{}, fmt.Errorf("core: %d generators for %d cores", len(gens), len(m.sims))
 	}
 	results := make([]Result, len(m.sims))
+	errs := make([]error, len(m.sims))
 	var wg sync.WaitGroup
 	for i := range m.sims {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = m.sims[i].Run(gens[i], instrsPerCore)
+			results[i], errs[i] = m.sims[i].RunContext(context.Background(), gens[i], instrsPerCore)
+			if errs[i] != nil {
+				errs[i] = fmt.Errorf("core %d: %w", i, errs[i])
+			}
 		}(i)
 	}
 	wg.Wait()
-	return results, Aggregate(results), nil
+	return results, Aggregate(results), errors.Join(errs...)
 }
 
 // Aggregate sums per-core results into a whole-process view: counters

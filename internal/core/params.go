@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 
+	"xlate/internal/addr"
 	"xlate/internal/audit"
 	"xlate/internal/audit/inject"
 	"xlate/internal/energy"
@@ -193,16 +194,6 @@ func DefaultParams(kind ConfigKind) Params {
 	return p
 }
 
-// hasL12M reports whether the configuration includes a separate L1-2MB
-// TLB.
-func (p Params) hasL12M() bool {
-	switch p.Kind {
-	case CfgTHP, CfgTLBLite, CfgRMM:
-		return true
-	}
-	return false
-}
-
 // hasLite reports whether the Lite controller is active.
 func (p Params) hasLite() bool {
 	return p.Kind == CfgTLBLite || p.Kind == CfgRMMLite || p.Kind == CfgCombined
@@ -215,12 +206,6 @@ func (p Params) hasL2Range() bool {
 
 // hasL1Range reports whether an L1-range TLB is present.
 func (p Params) hasL1Range() bool { return p.Kind == CfgRMMLite || p.Kind == CfgCombined }
-
-// mixedL1 reports whether the L1 (and L2) page TLBs hold multiple page
-// sizes in one structure (TLB_PP and the predictor-based extensions).
-func (p Params) mixedL1() bool {
-	return p.Kind == CfgTLBPP || p.Kind == CfgTLBPred || p.Kind == CfgCombined
-}
 
 // hasPredictor reports whether a real (fallible) page-size predictor
 // selects the mixed TLB's index.
@@ -249,65 +234,159 @@ func PolicyFor(kind ConfigKind, thpCoverage float64) vm.Policy {
 	panic(fmt.Sprintf("core: unknown config kind %d", int(kind)))
 }
 
-// Validate checks the parameters for consistency. Every failure wraps
-// ErrInvalidParams, so API users can classify with errors.Is.
+// l1Spec is one L1 page TLB of a configuration's probe set (Figure 1).
+type l1Spec struct {
+	name          string        // energy-database key and structure name
+	size          addr.PageSize // page size of the cached VPNs (4 KB for a mixed L1)
+	acc           energy.Account
+	entries, ways int
+	mixed         bool          // keys are size-qualified (mixKey) and hold every page size
+	cost          []energy.Cost // cost[w] prices a probe or fill at w active ways (set by resolveCosts)
+}
+
+// l1Specs lists the configuration's L1 page TLBs in probe order. TLB_PP
+// and the predictor extensions have one mixed L1 holding every page
+// size. The others have the L1-4KB TLB, an L1-2MB TLB where the
+// configuration caches 2 MB pages apart (THP, TLB_Lite, RMM), and Figure
+// 1's small fully associative L1-1GB TLB, which the §3.1 mask keeps
+// disabled (and free) until a 1 GB mapping is actually walked.
+func (p Params) l1Specs() []l1Spec {
+	specs := []l1Spec{{name: energy.L14KB, size: addr.Page4K, acc: energy.AccL1Page4K,
+		entries: p.L14KEntries, ways: p.L14KWays}}
+	switch p.Kind {
+	case CfgTLBPP, CfgTLBPred, CfgCombined:
+		specs[0].mixed = true
+		return specs
+	case CfgTHP, CfgTLBLite, CfgRMM:
+		specs = append(specs, l1Spec{name: energy.L12MB, size: addr.Page2M, acc: energy.AccL1Page2M,
+			entries: p.L12MEntries, ways: p.L12MWays})
+	}
+	return append(specs, l1Spec{name: energy.L11GB, size: addr.Page1G, acc: energy.AccL1Page1G,
+		entries: 4, ways: 4})
+}
+
+// mmuCacheNames lists the paging-structure caches in
+// mmucache.Cache.Structures order.
+var mmuCacheNames = [3]string{mmucache.NamePDE, mmucache.NamePDPTE, mmucache.NamePML4}
+
+// energyCosts is a validated configuration's L1 probe table and every
+// other energy cost it can charge, resolved from its database once so
+// no probe, fill or walk looks one up.
+type energyCosts struct {
+	l1               []l1Spec
+	l2, l1Rng, l2Rng energy.Cost
+	mmu              [3]energy.Cost // per mmuCacheNames entry
+	walkRefPJ        float64
+}
+
+// Validate checks the parameters for consistency, including that the
+// energy database prices every structure the configuration can charge.
+// Every failure wraps ErrInvalidParams, so API users can classify with
+// errors.Is.
 func (p Params) Validate() error {
+	_, err := p.resolve()
+	return err
+}
+
+// resolve validates p and resolves its energy costs; NewSimulator builds
+// the hierarchy from the result.
+func (p Params) resolve() (energyCosts, error) {
 	if p.Kind < 0 || p.Kind >= NumConfigs {
-		return fmt.Errorf("core: %w: invalid config kind %d", ErrInvalidParams, int(p.Kind))
+		return energyCosts{}, fmt.Errorf("core: %w: invalid config kind %d", ErrInvalidParams, int(p.Kind))
 	}
-	if p.L14KEntries <= 0 || p.L14KWays <= 0 || p.L14KEntries%p.L14KWays != 0 {
-		return fmt.Errorf("core: %w: bad L1-4KB geometry %d/%d", ErrInvalidParams, p.L14KEntries, p.L14KWays)
-	}
-	if p.hasL12M() && (p.L12MEntries <= 0 || p.L12MWays <= 0 || p.L12MEntries%p.L12MWays != 0) {
-		return fmt.Errorf("core: %w: bad L1-2MB geometry %d/%d", ErrInvalidParams, p.L12MEntries, p.L12MWays)
-	}
-	if p.L2Entries <= 0 || p.L2Ways <= 0 || p.L2Entries%p.L2Ways != 0 {
-		return fmt.Errorf("core: %w: bad L2 geometry %d/%d", ErrInvalidParams, p.L2Entries, p.L2Ways)
-	}
-	if p.hasL2Range() && p.L2RangeEntries <= 0 {
-		return fmt.Errorf("core: %w: bad L2-range capacity %d", ErrInvalidParams, p.L2RangeEntries)
-	}
-	if p.hasL1Range() && p.L1RangeEntries <= 0 {
-		return fmt.Errorf("core: %w: bad L1-range capacity %d", ErrInvalidParams, p.L1RangeEntries)
-	}
-	if p.WalkL1HitRatio < 0 || p.WalkL1HitRatio > 1 {
-		return fmt.Errorf("core: %w: walk L1 hit ratio %v outside [0,1]", ErrInvalidParams, p.WalkL1HitRatio)
-	}
-	if p.L2LatencyCycles < 0 || p.WalkLatencyCycles < 0 {
-		return fmt.Errorf("core: %w: negative latency", ErrInvalidParams)
-	}
-	if p.EnergyDB == nil {
-		return fmt.Errorf("core: %w: nil energy database", ErrInvalidParams)
-	}
-	if err := p.MMU.Validate(); err != nil {
-		return fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
-	}
-	if p.hasLite() {
-		if err := p.Lite.Validate(); err != nil {
-			return fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
+	for _, sp := range p.l1Specs() {
+		if sp.entries <= 0 || sp.ways <= 0 || sp.entries%sp.ways != 0 {
+			return energyCosts{}, fmt.Errorf("core: %w: bad %s geometry %d/%d", ErrInvalidParams, sp.name, sp.entries, sp.ways)
 		}
 		// Lite's LRU-distance monitors bucket ways in powers of two
 		// (Figure 6); non-power-of-two associativity would panic deep in
 		// internal/lite at controller construction.
-		if p.L14KWays&(p.L14KWays-1) != 0 {
-			return fmt.Errorf("core: %w: Lite requires power-of-two L1-4KB associativity, got %d",
-				ErrInvalidParams, p.L14KWays)
+		if p.hasLite() && sp.ways&(sp.ways-1) != 0 {
+			return energyCosts{}, fmt.Errorf("core: %w: Lite requires power-of-two %s associativity, got %d",
+				ErrInvalidParams, sp.name, sp.ways)
 		}
-		if p.hasL12M() && p.L12MWays&(p.L12MWays-1) != 0 {
-			return fmt.Errorf("core: %w: Lite requires power-of-two L1-2MB associativity, got %d",
-				ErrInvalidParams, p.L12MWays)
+	}
+	if p.L2Entries <= 0 || p.L2Ways <= 0 || p.L2Entries%p.L2Ways != 0 {
+		return energyCosts{}, fmt.Errorf("core: %w: bad L2 geometry %d/%d", ErrInvalidParams, p.L2Entries, p.L2Ways)
+	}
+	if p.hasL2Range() && p.L2RangeEntries <= 0 {
+		return energyCosts{}, fmt.Errorf("core: %w: bad L2-range capacity %d", ErrInvalidParams, p.L2RangeEntries)
+	}
+	if p.hasL1Range() && p.L1RangeEntries <= 0 {
+		return energyCosts{}, fmt.Errorf("core: %w: bad L1-range capacity %d", ErrInvalidParams, p.L1RangeEntries)
+	}
+	if p.WalkL1HitRatio < 0 || p.WalkL1HitRatio > 1 {
+		return energyCosts{}, fmt.Errorf("core: %w: walk L1 hit ratio %v outside [0,1]", ErrInvalidParams, p.WalkL1HitRatio)
+	}
+	if p.L2LatencyCycles < 0 || p.WalkLatencyCycles < 0 {
+		return energyCosts{}, fmt.Errorf("core: %w: negative latency", ErrInvalidParams)
+	}
+	if p.EnergyDB == nil {
+		return energyCosts{}, fmt.Errorf("core: %w: nil energy database", ErrInvalidParams)
+	}
+	if err := p.MMU.Validate(); err != nil {
+		return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
+	}
+	if p.hasLite() {
+		if err := p.Lite.Validate(); err != nil {
+			return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 		}
 	}
 	if p.hasPredictor() {
 		if p.PredictorEntries <= 0 || p.PredictorEntries&(p.PredictorEntries-1) != 0 {
-			return fmt.Errorf("core: %w: predictor entries %d must be a positive power of two", ErrInvalidParams, p.PredictorEntries)
+			return energyCosts{}, fmt.Errorf("core: %w: predictor entries %d must be a positive power of two", ErrInvalidParams, p.PredictorEntries)
 		}
 		if p.MispredictPenaltyCycles < 0 {
-			return fmt.Errorf("core: %w: negative mispredict penalty", ErrInvalidParams)
+			return energyCosts{}, fmt.Errorf("core: %w: negative mispredict penalty", ErrInvalidParams)
 		}
 	}
 	if err := p.Fault.Validate(); err != nil {
-		return fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
+		return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 	}
-	return nil
+	return p.resolveCosts()
+}
+
+// resolveCosts looks up every cost the configuration can charge. A
+// missing entry — possible in a database shipped over the wire — is a
+// parameter error here rather than a panic mid-run.
+func (p Params) resolveCosts() (energyCosts, error) {
+	var err error
+	get := func(name string, ways int) energy.Cost {
+		c, ok := p.EnergyDB.Lookup(name, ways)
+		if !ok && err == nil {
+			err = fmt.Errorf("core: %w: energy database has no cost for %q at %d ways", ErrInvalidParams, name, ways)
+		}
+		return c
+	}
+	c := energyCosts{l1: p.l1Specs()}
+	for i := range c.l1 {
+		sp := &c.l1[i]
+		// Lite may run a monitored TLB at any power-of-two way count;
+		// without it a TLB always runs at its physical associativity.
+		sp.cost = make([]energy.Cost, sp.ways+1)
+		w := sp.ways
+		if p.hasLite() {
+			w = 1
+		}
+		for ; w <= sp.ways; w *= 2 {
+			sp.cost[w] = get(sp.name, w)
+		}
+	}
+	c.l2 = get(energy.L2Page, 0)
+	if p.hasL1Range() {
+		c.l1Rng = get(energy.L1Range, 0)
+	}
+	if p.hasL2Range() {
+		c.l2Rng = get(energy.L2Range, 0)
+	}
+	for i, name := range mmuCacheNames {
+		c.mmu[i] = get(name, 0)
+	}
+	get(energy.L1Cache, 0) // both priced into every walk reference
+	get(energy.L2Cache, 0)
+	if err != nil {
+		return energyCosts{}, err
+	}
+	c.walkRefPJ = p.EnergyDB.WalkRefCost(p.WalkL1HitRatio)
+	return c, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"xlate/internal/addr"
 	"xlate/internal/audit"
 	"xlate/internal/energy"
 	"xlate/internal/stats"
@@ -34,8 +35,9 @@ type Result struct {
 
 	// LiteLookupShare[tlbIdx][k] is the fraction of lookups TLB tlbIdx
 	// performed with 2^k active ways (Table 5 left half); nil for
-	// non-Lite configurations. Index 0 is the L1-4KB TLB; index 1, when
-	// present, the L1-2MB TLB.
+	// non-Lite configurations. Lite monitors every L1 page TLB, indexed
+	// in probe order: the L1-4KB (or mixed) TLB, then the L1-2MB TLB when
+	// present, then the L1-1GB TLB when present.
 	LiteLookupShare [][]float64
 
 	// IntervalL1MPKI is the per-interval L1 MPKI series (Figure 4);
@@ -118,9 +120,9 @@ func (s *Simulator) Result() Result {
 		PageFaults:    s.st.pageFaults,
 		CyclesTLBMiss: s.st.cycles,
 		Energy:        s.st.energy,
-		Hits4K:        s.st.hits4K,
-		Hits2M:        s.st.hits2M,
-		Hits1G:        s.st.hits1G,
+		Hits4K:        s.st.hits[addr.Page4K],
+		Hits2M:        s.st.hits[addr.Page2M],
+		Hits1G:        s.st.hits[addr.Page1G],
 		HitsRange:     s.st.hitsRange,
 		IntervalL1MPKI: stats.Series{
 			Name:   s.st.series.Name,
@@ -139,12 +141,10 @@ func (s *Simulator) Result() Result {
 	// registry's totals match the returned counters exactly.
 	s.flushTelemetry()
 	if s.ctl != nil {
-		r.LiteLookupShare = append(r.LiteLookupShare, s.ctl.LookupShareAtWays(0))
-		if s.lite2mIdx >= 0 {
-			r.LiteLookupShare = append(r.LiteLookupShare, s.ctl.LookupShareAtWays(s.lite2mIdx))
-		}
-		if s.lite1gIdx >= 0 {
-			r.LiteLookupShare = append(r.LiteLookupShare, s.ctl.LookupShareAtWays(s.lite1gIdx))
+		for _, t := range s.l1 {
+			if t.liteIdx >= 0 {
+				r.LiteLookupShare = append(r.LiteLookupShare, s.ctl.LookupShareAtWays(t.liteIdx))
+			}
 		}
 		r.LiteResizes = s.ctl.Resizes()
 		r.LiteReactivations = s.ctl.Reactivations()
@@ -162,15 +162,9 @@ func (s *Simulator) Result() Result {
 // the hierarchy, keyed by structure name. Intended for tests and
 // debugging output.
 func (s *Simulator) StructureStats() map[string]tlb.Stats {
-	out := map[string]tlb.Stats{
-		energy.L14KB:  s.l14k.Stats(),
-		energy.L2Page: s.l2.Stats(),
-	}
-	if s.l12m != nil {
-		out[energy.L12MB] = s.l12m.Stats()
-	}
-	if s.l11g != nil {
-		out[energy.L11GB] = s.l11g.Stats()
+	out := map[string]tlb.Stats{energy.L2Page: s.l2.Stats()}
+	for _, t := range s.l1 {
+		out[t.name] = t.tlb.Stats()
 	}
 	if s.l1rng != nil {
 		out[energy.L1Range] = s.l1rng.Stats()

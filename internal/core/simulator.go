@@ -25,9 +25,13 @@ type Simulator struct {
 	p  Params
 	as *vm.AddressSpace
 
-	l14k  *tlb.SetAssoc // L1-4KB TLB, or the single mixed L1 under TLB_PP
-	l12m  *tlb.SetAssoc // L1-2MB TLB (nil when absent)
-	l11g  *tlb.SetAssoc // L1-1GB TLB (nil when absent)
+	// l1 is the configuration's L1 page TLBs, probed in parallel in
+	// this order: l1[0] is the L1-4KB TLB, or the single mixed L1 under
+	// TLB_PP and the predictor extensions. l1BySize maps a page size to
+	// the entry its translations fill (-1 when there is none).
+	l1       []l1Page
+	l1BySize [3]int
+
 	l1rng *tlb.RangeTLB // L1-range TLB (nil when absent)
 	l2    *tlb.SetAssoc // unified L2 page TLB
 	l2rng *tlb.RangeTLB // L2-range TLB (nil when absent)
@@ -37,17 +41,7 @@ type Simulator struct {
 	ctl   *lite.Controller
 	pred  *sizePredictor // nil unless the config uses a real predictor
 
-	// l12mEnabled and l11gEnabled model the static disable mask of §3.1:
-	// a huge-page TLB is probed (and charged) only after a page table
-	// entry of its size has been fetched by a page walk.
-	l12mEnabled bool
-	l11gEnabled bool
-
-	// lite2mIdx / lite1gIdx are the monitored-TLB indices of the huge-
-	// page TLBs in the Lite controller (-1 when not monitored).
-	lite2mIdx, lite1gIdx int
-
-	walkRefPJ float64 // energy of one page-walk memory reference
+	cost energyCosts // every charge of the configuration, resolved at construction
 
 	// aud is the runtime integrity layer (nil unless Params.Audit is
 	// enabled). It observes probes, fills, hits and charges, and never
@@ -62,6 +56,10 @@ type Simulator struct {
 	faultArmed bool
 	chargeSkew float64
 	dropInval  string
+
+	// err records a demand fault the address space could not serve;
+	// RunContext stops the run and returns it, Err reports it.
+	err error
 
 	// tele is the telemetry attachment (nil unless Params.Metrics or
 	// Params.Trace is set). Like aud, it observes and never mutates
@@ -82,7 +80,10 @@ type runStats struct {
 	pageFaults   uint64
 	shootdowns   uint64
 
-	hits4K, hits2M, hits1G, hitsRange uint64 // L1 hit attribution (Table 5 right)
+	// L1 hit attribution (Table 5 right): page hits by page size, and
+	// range hits.
+	hits      [3]uint64
+	hitsRange uint64
 
 	energy energy.Breakdown
 	// shadowPJ is a single running sum over every charge, accumulated
@@ -103,29 +104,59 @@ type runStats struct {
 	seriesWays   stats.Series
 }
 
+// l1Page is one entry of the L1 probe table: a resolved l1Spec and the
+// TLB built from it.
+type l1Page struct {
+	l1Spec
+	tlb *tlb.SetAssoc
+	// enabled models the static disable mask of §3.1: a huge-page TLB is
+	// probed (and charged) only after a page table entry of its size has
+	// been fetched by a page walk.
+	enabled bool
+	liteIdx int // monitored index in the Lite controller; -1 when unmonitored
+}
+
+// tag returns the key under which t caches the translation of va, a
+// page of size sz, and the page size a hit on that key serves.
+func (t *l1Page) tag(va addr.VA, sz addr.PageSize) (uint64, addr.PageSize) {
+	if t.mixed {
+		return mixKey(va, sz), sz
+	}
+	return addr.VPN(va, t.size), t.size
+}
+
 // NewSimulator builds the configured TLB hierarchy over the given
 // address space. The address space must have been created with a policy
 // compatible with the configuration (see PolicyFor).
 func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
-	if err := p.Validate(); err != nil {
+	cost, err := p.resolve()
+	if err != nil {
 		return nil, err
 	}
 	s := &Simulator{
-		p:    p,
-		as:   as,
-		l14k: tlb.NewSetAssoc(energy.L14KB, p.L14KEntries, p.L14KWays),
-		l2:   tlb.NewSetAssoc(energy.L2Page, p.L2Entries, p.L2Ways),
-		mmu:  mmucache.New(p.MMU),
-		walk: pagetable.NewWalker(as.PageTable()),
+		p:        p,
+		as:       as,
+		l2:       tlb.NewSetAssoc(energy.L2Page, p.L2Entries, p.L2Ways),
+		mmu:      mmucache.New(p.MMU),
+		walk:     pagetable.NewWalker(as.PageTable()),
+		cost:     cost,
+		l1BySize: [3]int{-1, -1, -1},
 	}
-	if p.hasL12M() {
-		s.l12m = tlb.NewSetAssoc(energy.L12MB, p.L12MEntries, p.L12MWays)
-	}
-	if !p.mixedL1() {
-		// Figure 1's hierarchy always includes the small fully
-		// associative L1-1GB TLB; the §3.1 mask keeps it disabled (and
-		// free) until a 1 GB mapping is actually walked.
-		s.l11g = tlb.NewFullyAssoc(energy.L11GB, 4)
+	var monitored []*tlb.SetAssoc
+	for i, sp := range cost.l1 {
+		t := l1Page{l1Spec: sp, tlb: tlb.NewSetAssoc(sp.name, sp.entries, sp.ways),
+			enabled: sp.size == addr.Page4K, liteIdx: -1}
+		if t.mixed {
+			s.l1BySize = [3]int{0, 0, 0}
+		} else {
+			s.l1BySize[sp.size] = i
+		}
+		if p.hasLite() {
+			// Lite monitors every L1 page TLB (§4.2.2).
+			t.liteIdx = len(monitored)
+			monitored = append(monitored, t.tlb)
+		}
+		s.l1 = append(s.l1, t)
 	}
 	if p.hasL2Range() {
 		s.l2rng = tlb.NewRangeTLB(energy.L2Range, p.L2RangeEntries)
@@ -134,23 +165,12 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	if p.hasL1Range() {
 		s.l1rng = tlb.NewRangeTLB(energy.L1Range, p.L1RangeEntries)
 	}
-	s.lite2mIdx, s.lite1gIdx = -1, -1
 	if p.hasLite() {
-		monitored := []*tlb.SetAssoc{s.l14k}
-		if s.l12m != nil {
-			s.lite2mIdx = len(monitored)
-			monitored = append(monitored, s.l12m)
-		}
-		if s.l11g != nil {
-			s.lite1gIdx = len(monitored)
-			monitored = append(monitored, s.l11g)
-		}
 		s.ctl = lite.NewController(p.Lite, monitored...)
 	}
 	if p.hasPredictor() {
 		s.pred = newSizePredictor(p.PredictorEntries)
 	}
-	s.walkRefPJ = p.EnergyDB.WalkRefCost(p.WalkL1HitRatio)
 	s.chargeSkew = 1
 	if p.Fault.Kind != inject.None {
 		s.fault = p.Fault
@@ -158,21 +178,22 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	}
 	if p.Audit.Enabled {
 		mmu := s.mmu.Structures()
+		l1 := make([]audit.PageTLB, len(s.l1))
+		for i, t := range s.l1 {
+			l1[i] = audit.PageTLB{TLB: t.tlb, Size: t.size, Mixed: t.mixed}
+		}
 		s.aud = audit.New(p.Audit, audit.Structures{
-			PT:      as.PageTable(),
-			RT:      s.rt,
-			L14K:    s.l14k,
-			L12M:    s.l12m,
-			L11G:    s.l11g,
-			L2:      s.l2,
-			L1Rng:   s.l1rng,
-			L2Rng:   s.l2rng,
-			MMU:     mmu[:],
-			Lite:    s.ctl,
-			MixedL1: p.mixedL1(),
-			DB:      p.EnergyDB,
+			PT:    as.PageTable(),
+			RT:    s.rt,
+			L1:    l1,
+			L2:    s.l2,
+			L1Rng: s.l1rng,
+			L2Rng: s.l2rng,
+			MMU:   mmu[:],
+			Lite:  s.ctl,
+			DB:    p.EnergyDB,
 			// Re-derived from the database rather than copied from
-			// s.walkRefPJ, so a corrupted cached value is detectable.
+			// s.cost, so a corrupted cached value is detectable.
 			WalkRefPJ: p.EnergyDB.WalkRefCost(p.WalkL1HitRatio),
 		})
 	}
@@ -259,7 +280,7 @@ func (s *Simulator) applyFault() {
 		if mask == 0 {
 			mask = 1
 		}
-		if s.l14k.MutateEntry(func(e *tlb.Entry) bool { e.Frame ^= mask; return true }) {
+		if s.l1[0].tlb.MutateEntry(func(e *tlb.Entry) bool { e.Frame ^= mask; return true }) {
 			s.faultArmed = false
 		}
 	case inject.StaleRange:
@@ -284,22 +305,25 @@ func (s *Simulator) applyFault() {
 	}
 }
 
-func (s *Simulator) l14kCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L14KB, s.l14k.ActiveWays())
-}
-
-func (s *Simulator) l12mCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L12MB, s.l12m.ActiveWays())
-}
-
-func (s *Simulator) l11gCost() energy.Cost {
-	return s.p.EnergyDB.Cost(energy.L11GB, s.l11g.ActiveWays())
+// probeL1 looks key up in L1 page TLB t and charges the read at its
+// current active ways.
+func (s *Simulator) probeL1(t *l1Page, key uint64) (tlb.Entry, int, bool) {
+	e, pos, hit := t.tlb.Lookup(key)
+	ways := t.tlb.ActiveWays()
+	s.charge(t.acc, t.cost[ways].ReadPJ)
+	s.auditRead(t.acc, t.name, ways)
+	return e, pos, hit
 }
 
 // Access simulates one memory operation: the virtual address and the
 // instructions executed since the previous reference. Every probe, fill
 // and walk charges the energy model; the performance model adds 7 cycles
 // per L1 miss and 50 per L2 miss (Table 3).
+//
+// Under Params.DemandPaging, a reference the address space cannot back
+// (physical memory exhausted) is counted but not translated; RunContext
+// returns the failure, and callers driving Access directly read it from
+// Err.
 //
 // Access is the root of the simulator's hot path: everything it
 // reaches must stay allocation-free (the AllocsPerRun pins check this
@@ -319,34 +343,8 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 
 	m, ok := s.as.PageTable().Lookup(va)
 	if !ok {
-		if !s.p.DemandPaging {
-			panic(fmt.Sprintf("core: access to unmapped address %#x — pre-map memory or enable DemandPaging", uint64(va)))
-		}
-		if _, err := s.as.EnsureMapped(va); err != nil {
-			panic(fmt.Sprintf("core: demand fault failed: %v", err))
-		}
-		s.st.pageFaults++
-		s.tracePageFault(uint64(va))
-		// Under eager paging the fault may have merged the new chunk
-		// into a neighbouring range, rewriting that range's bounds in
-		// the range table. Cached copies of the old, narrower range are
-		// now stale mappings and must leave the hardware, exactly like
-		// any other OS-changed translation (InvalidateRegion). Absent a
-		// merge nothing overlaps a freshly faulted chunk, so this is a
-		// no-op on the common path.
-		if s.l2rng != nil || s.l1rng != nil {
-			if r, ok := s.as.RangeTable().Lookup(va); ok {
-				if s.l1rng != nil {
-					s.l1rng.InvalidateOverlapping(r.Start, r.End)
-				}
-				if s.l2rng != nil {
-					s.l2rng.InvalidateOverlapping(r.Start, r.End)
-				}
-			}
-		}
-		m, ok = s.as.PageTable().Lookup(va)
-		if !ok {
-			panic(fmt.Sprintf("core: demand mapping did not cover %#x", uint64(va)))
+		if m, ok = s.demandFault(va); !ok {
+			return
 		}
 	}
 
@@ -355,77 +353,34 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	}
 
 	// --- L1 probes: every enabled L1 structure in parallel ---
+	if s.pred != nil {
+		// TLB_Pred / Combined: a real predictor selects the mixed L1's
+		// index bits. A misprediction can never hit (the tag embeds the
+		// true size), so it costs a wasted read and an extra cycle before
+		// the re-indexed probe below.
+		if predicted := s.pred.predict(va); predicted != m.Size {
+			s.probeL1(&s.l1[0], mixKey(va, predicted))
+			s.pred.noteMispredict()
+			s.st.cycles += uint64(s.p.MispredictPenaltyCycles)
+		}
+		s.pred.update(va, m.Size)
+	}
 	pageHit := false
 	var pageHitSize addr.PageSize
-	if s.p.mixedL1() {
-		if s.pred != nil {
-			// TLB_Pred / Combined: a real predictor selects the index
-			// bits. A misprediction can never hit (the tag embeds the
-			// true size), so it forces a second, re-indexed probe with
-			// an extra read and an extra cycle.
-			predicted := s.pred.predict(va)
-			e, pos, hit := s.l14k.Lookup(mixKey(va, predicted))
-			s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-			s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-			if predicted != m.Size {
-				s.pred.noteMispredict()
-				s.st.cycles += uint64(s.p.MispredictPenaltyCycles)
-				e, pos, hit = s.l14k.Lookup(mixKey(va, m.Size))
-				s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-				s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-			}
-			s.pred.update(va, m.Size)
-			if hit {
-				pageHit, pageHitSize = true, m.Size
-				s.auditPageHit(energy.L14KB, e, m.Size)
-				if s.ctl != nil {
-					s.ctl.RecordHit(0, pos)
-				}
-			}
-		} else {
-			// TLB_PP: the perfect predictor selects the index for the
-			// actual page size at no energy cost; one structure is probed.
-			e, _, hit := s.l14k.Lookup(mixKey(va, m.Size))
-			s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-			s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-			if hit {
-				pageHit, pageHitSize = true, m.Size
-				s.auditPageHit(energy.L14KB, e, m.Size)
-			}
+	for i := range s.l1 {
+		t := &s.l1[i]
+		if !t.enabled {
+			continue
 		}
-	} else {
-		e1, pos, hit := s.l14k.Lookup(addr.VPN(va, addr.Page4K))
-		s.charge(energy.AccL1Page4K, s.l14kCost().ReadPJ)
-		s.auditRead(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
+		// TLB_PP's perfect predictor indexes the mixed L1 by the actual
+		// page size at no energy cost.
+		key, sz := t.tag(va, m.Size)
+		e, pos, hit := s.probeL1(t, key)
 		if hit {
-			pageHit, pageHitSize = true, addr.Page4K
-			s.auditPageHit(energy.L14KB, e1, addr.Page4K)
-			if s.ctl != nil {
-				s.ctl.RecordHit(0, pos)
-			}
-		}
-		if s.l12m != nil && s.l12mEnabled {
-			e2, pos2, hit2 := s.l12m.Lookup(addr.VPN(va, addr.Page2M))
-			s.charge(energy.AccL1Page2M, s.l12mCost().ReadPJ)
-			s.auditRead(energy.AccL1Page2M, energy.L12MB, s.l12m.ActiveWays())
-			if hit2 {
-				pageHit, pageHitSize = true, addr.Page2M
-				s.auditPageHit(energy.L12MB, e2, addr.Page2M)
-				if s.ctl != nil {
-					s.ctl.RecordHit(s.lite2mIdx, pos2)
-				}
-			}
-		}
-		if s.l11g != nil && s.l11gEnabled {
-			e3, pos3, hit3 := s.l11g.Lookup(addr.VPN(va, addr.Page1G))
-			s.charge(energy.AccL1Page1G, s.l11gCost().ReadPJ)
-			s.auditRead(energy.AccL1Page1G, energy.L11GB, s.l11g.ActiveWays())
-			if hit3 {
-				pageHit, pageHitSize = true, addr.Page1G
-				s.auditPageHit(energy.L11GB, e3, addr.Page1G)
-				if s.ctl != nil {
-					s.ctl.RecordHit(s.lite1gIdx, pos3)
-				}
+			pageHit, pageHitSize = true, sz
+			s.auditPageHit(t.name, e, sz)
+			if t.liteIdx >= 0 {
+				s.ctl.RecordHit(t.liteIdx, pos)
 			}
 		}
 	}
@@ -433,7 +388,7 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	var hitRange rmm.Range
 	if s.l1rng != nil {
 		re, rh := s.l1rng.Lookup(va)
-		s.charge(energy.AccL1Range, s.p.EnergyDB.Cost(energy.L1Range, 0).ReadPJ)
+		s.charge(energy.AccL1Range, s.cost.l1Rng.ReadPJ)
 		s.auditRead(energy.AccL1Range, energy.L1Range, 0)
 		rangeHit = rh
 		if rh {
@@ -448,12 +403,8 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	case rangeHit:
 		s.st.hitsRange++
 		s.traceRangeHit(uint64(hitRange.Start), uint64(hitRange.End))
-	case pageHit && pageHitSize == addr.Page1G:
-		s.st.hits1G++
-	case pageHit && pageHitSize == addr.Page2M:
-		s.st.hits2M++
 	case pageHit:
-		s.st.hits4K++
+		s.st.hits[pageHitSize]++
 	default:
 		s.missPath(va, m)
 	}
@@ -473,7 +424,7 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 				perRef = (s.st.shadowPJ - s.st.intPJMark) / float64(intRefs)
 			}
 			s.st.seriesEnergy.Append(perRef)
-			s.st.seriesWays.Append(float64(s.l14k.ActiveWays()))
+			s.st.seriesWays.Append(float64(s.l1[0].tlb.ActiveWays()))
 			s.st.intRefMark = s.st.memRefs
 			s.st.intPJMark = s.st.shadowPJ
 		}
@@ -481,6 +432,43 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	if s.aud != nil {
 		s.aud.EndAccess(&s.st.energy, s.st.shadowPJ)
 	}
+}
+
+// demandFault maps the chunk holding va on its first touch
+// (Params.DemandPaging) and returns the now-resident mapping. When the
+// address space cannot back the chunk, it records the error for
+// RunContext and reports false.
+//
+//eeat:coldpath page-fault handling; faults are rare at architecture scale
+func (s *Simulator) demandFault(va addr.VA) (pagetable.Mapping, bool) {
+	if !s.p.DemandPaging {
+		panic(fmt.Sprintf("core: access to unmapped address %#x — pre-map memory or enable DemandPaging", uint64(va)))
+	}
+	if _, err := s.as.EnsureMapped(va); err != nil {
+		s.err = fmt.Errorf("core: demand paging failed: %w", err)
+		return pagetable.Mapping{}, false
+	}
+	s.st.pageFaults++
+	s.tracePageFault(uint64(va))
+	// Under eager paging the fault may have merged the new chunk into a
+	// neighbouring range, rewriting that range's bounds in the range
+	// table. Cached copies of the old, narrower range are now stale
+	// mappings and must leave the hardware, exactly like any other
+	// OS-changed translation (InvalidateRegion). Absent a merge nothing
+	// overlaps a freshly faulted chunk.
+	if r, ok := s.as.RangeTable().Lookup(va); ok {
+		if s.l1rng != nil {
+			s.l1rng.InvalidateOverlapping(r.Start, r.End)
+		}
+		if s.l2rng != nil {
+			s.l2rng.InvalidateOverlapping(r.Start, r.End)
+		}
+	}
+	m, ok := s.as.PageTable().Lookup(va)
+	if !ok {
+		panic(fmt.Sprintf("core: demand mapping did not cover %#x", uint64(va)))
+	}
+	return m, true
 }
 
 // missPath handles an access that missed in all L1 structures.
@@ -495,7 +483,7 @@ func (s *Simulator) missPath(va addr.VA, m pagetable.Mapping) {
 
 	// --- L2 probes: page and range TLBs in parallel ---
 	l2e, _, l2PageHit := s.l2.Lookup(mixKey(va, m.Size))
-	s.charge(energy.AccL2Page, s.p.EnergyDB.Cost(energy.L2Page, 0).ReadPJ)
+	s.charge(energy.AccL2Page, s.cost.l2.ReadPJ)
 	s.auditRead(energy.AccL2Page, energy.L2Page, 0)
 	if l2PageHit {
 		s.auditPageHit(energy.L2Page, l2e, m.Size)
@@ -504,7 +492,7 @@ func (s *Simulator) missPath(va addr.VA, m pagetable.Mapping) {
 	l2RangeHit := false
 	if s.l2rng != nil {
 		l2RangeEnt, l2RangeHit = s.l2rng.Lookup(va)
-		s.charge(energy.AccL2Range, s.p.EnergyDB.Cost(energy.L2Range, 0).ReadPJ)
+		s.charge(energy.AccL2Range, s.cost.l2Rng.ReadPJ)
 		s.auditRead(energy.AccL2Range, energy.L2Range, 0)
 		if l2RangeHit && s.aud != nil {
 			s.aud.RecordRangeHit(l2RangeEnt)
@@ -536,8 +524,8 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 
 	// All three paging-structure caches are probed in parallel.
 	start := s.mmu.Probe(va)
-	for _, st := range s.mmu.Structures() {
-		s.charge(energy.AccMMUCache, s.p.EnergyDB.Cost(st.Name(), 0).ReadPJ)
+	for i, st := range s.mmu.Structures() {
+		s.charge(energy.AccMMUCache, s.cost.mmu[i].ReadPJ)
 		s.auditRead(energy.AccMMUCache, st.Name(), 0)
 	}
 
@@ -547,7 +535,7 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 	}
 	s.st.walkRefs += uint64(refs)
 	s.traceWalk(uint64(va), refs, wm.Size.String())
-	s.charge(energy.AccPageWalk, float64(refs)*s.walkRefPJ)
+	s.charge(energy.AccPageWalk, float64(refs)*s.cost.walkRefPJ)
 	s.auditWalkRefs(energy.AccPageWalk, refs)
 	if s.aud != nil {
 		s.aud.RecordWalkResult(wm)
@@ -562,27 +550,27 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 	s.mmu.Fill(va, leafLevelOf(wm.Size))
 	for i, st := range s.mmu.Structures() {
 		if st.Stats().Fills > fillsBefore[i] {
-			s.charge(energy.AccMMUCache, s.p.EnergyDB.Cost(st.Name(), 0).WritePJ)
+			s.charge(energy.AccMMUCache, s.cost.mmu[i].WritePJ)
 			s.auditWrite(energy.AccMMUCache, st.Name(), 0)
 		}
 	}
 
 	// Refill L2 and L1 page TLBs.
 	s.l2.Insert(tlb.Entry{Key: mixKey(va, wm.Size), Frame: uint64(wm.Frame)})
-	s.charge(energy.AccL2Page, s.p.EnergyDB.Cost(energy.L2Page, 0).WritePJ)
+	s.charge(energy.AccL2Page, s.cost.l2.WritePJ)
 	s.auditWrite(energy.AccL2Page, energy.L2Page, 0)
 	s.fillL1Page(va, wm)
 
 	// RMM: background range-table walk — no cycles, only energy (§5).
 	if s.rt != nil {
 		r, rrefs, found := s.rt.Walk(va)
-		s.charge(energy.AccRangeWalk, float64(rrefs)*s.walkRefPJ)
+		s.charge(energy.AccRangeWalk, float64(rrefs)*s.cost.walkRefPJ)
 		s.auditWalkRefs(energy.AccRangeWalk, rrefs)
 		if found {
 			if err := s.l2rng.Insert(r); err != nil {
 				panic(fmt.Sprintf("core: range table produced a bad range: %v", err))
 			}
-			s.charge(energy.AccL2Range, s.p.EnergyDB.Cost(energy.L2Range, 0).WritePJ)
+			s.charge(energy.AccL2Range, s.cost.l2Rng.WritePJ)
 			s.auditWrite(energy.AccL2Range, energy.L2Range, 0)
 			s.fillL1Range(r)
 		}
@@ -590,40 +578,20 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 }
 
 // fillL1Page inserts the page translation into the L1 page TLB matching
-// its size and charges the write.
+// its size, enables that TLB (§3.1) and charges the write.
 func (s *Simulator) fillL1Page(va addr.VA, m pagetable.Mapping) {
-	if s.p.mixedL1() {
-		s.l14k.Insert(tlb.Entry{Key: mixKey(va, m.Size), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page4K, s.l14kCost().WritePJ)
-		s.auditWrite(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-		return
+	i := s.l1BySize[m.Size]
+	if i < 0 {
+		panic(fmt.Sprintf("core: %v mapping at %#x but configuration %v has no L1 TLB for it — address-space policy mismatch",
+			m.Size, uint64(va), s.p.Kind))
 	}
-	switch m.Size {
-	case addr.Page4K:
-		s.l14k.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page4K), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page4K, s.l14kCost().WritePJ)
-		s.auditWrite(energy.AccL1Page4K, energy.L14KB, s.l14k.ActiveWays())
-	case addr.Page2M:
-		if s.l12m == nil {
-			panic(fmt.Sprintf("core: 2MB mapping at %#x but configuration %v has no L1-2MB TLB — address-space policy mismatch",
-				uint64(va), s.p.Kind))
-		}
-		s.l12mEnabled = true
-		s.l12m.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page2M), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page2M, s.l12mCost().WritePJ)
-		s.auditWrite(energy.AccL1Page2M, energy.L12MB, s.l12m.ActiveWays())
-	case addr.Page1G:
-		if s.l11g == nil {
-			panic(fmt.Sprintf("core: 1GB mapping at %#x but configuration %v has no L1-1GB TLB — address-space policy mismatch",
-				uint64(va), s.p.Kind))
-		}
-		s.l11gEnabled = true
-		s.l11g.Insert(tlb.Entry{Key: addr.VPN(va, addr.Page1G), Frame: uint64(m.Frame)})
-		s.charge(energy.AccL1Page1G, s.l11gCost().WritePJ)
-		s.auditWrite(energy.AccL1Page1G, energy.L11GB, s.l11g.ActiveWays())
-	default:
-		panic(fmt.Sprintf("core: unsupported page size %v", m.Size))
-	}
+	t := &s.l1[i]
+	t.enabled = true
+	key, _ := t.tag(va, m.Size)
+	t.tlb.Insert(tlb.Entry{Key: key, Frame: uint64(m.Frame)})
+	ways := t.tlb.ActiveWays()
+	s.charge(t.acc, t.cost[ways].WritePJ)
+	s.auditWrite(t.acc, t.name, ways)
 }
 
 // fillL1Range inserts a range translation into the L1-range TLB when the
@@ -635,17 +603,12 @@ func (s *Simulator) fillL1Range(r rmm.Range) {
 	if err := s.l1rng.Insert(r); err != nil {
 		panic(fmt.Sprintf("core: range table produced a bad range: %v", err))
 	}
-	s.charge(energy.AccL1Range, s.p.EnergyDB.Cost(energy.L1Range, 0).WritePJ)
+	s.charge(energy.AccL1Range, s.cost.l1Rng.WritePJ)
 	s.auditWrite(energy.AccL1Range, energy.L1Range, 0)
 }
 
-// Run drives the simulator with references from src — a workload
-// generator or a recorded-trace replay — until at least instrBudget
-// instructions have executed, then returns the results.
-func (s *Simulator) Run(src trace.RefSource, instrBudget uint64) Result {
-	res, _ := s.RunContext(context.Background(), src, instrBudget)
-	return res
-}
+// Err returns the demand-fault failure recorded by Access, or nil.
+func (s *Simulator) Err() error { return s.err }
 
 // cancelCheckRefs is how many references RunContext simulates between
 // cancellation checks: frequent enough that a cell responds to a cancel
@@ -653,11 +616,16 @@ func (s *Simulator) Run(src trace.RefSource, instrBudget uint64) Result {
 // hot loop.
 const cancelCheckRefs = 1 << 14
 
-// RunContext is Run with cooperative cancellation: every few thousand
-// references it polls ctx and, when the context is cancelled or its
-// deadline passes, stops and returns the partial Result together with
-// the context's error. The experiment harness uses this for per-cell
-// deadlines and suite-wide interrupt handling.
+// RunContext drives the simulator with references from src — a
+// workload generator or a recorded-trace replay — until at least
+// instrBudget instructions have executed, then returns the results.
+// Every few thousand references it polls ctx and, when the context is
+// cancelled or its deadline passes, stops and returns the partial Result
+// together with the context's error. The experiment harness uses this
+// for per-cell deadlines and suite-wide interrupt handling. A demand
+// fault the address space cannot back (Params.DemandPaging) likewise
+// stops the run at the faulting reference, returning an error that wraps
+// the vm error.
 //
 // When the run is audited (Params.Audit), RunContext polls the auditor
 // on the same cadence, runs one final structural audit after the budget
@@ -690,6 +658,9 @@ func (s *Simulator) RunContext(ctx context.Context, src trace.RefSource, instrBu
 		}
 		r := src.Next()
 		s.Access(r.VA, r.Instrs)
+		if s.err != nil {
+			return s.Result(), s.err
+		}
 	}
 	if s.aud != nil {
 		s.aud.AuditNow(&s.st.energy, s.st.shadowPJ)
@@ -740,56 +711,30 @@ func (s *Simulator) InvalidateRegion(start, end addr.VA) {
 	drop := s.dropInval
 	s.dropInval = ""
 	const shootdownFlushPages = 512
-	pages := uint64(end-start) >> addr.Shift4K
-	s.traceShootdown(uint64(start), uint64(end), pages > shootdownFlushPages)
-	if pages > shootdownFlushPages {
-		if drop != energy.L14KB {
-			s.l14k.Flush()
-		}
-		if s.l12m != nil && drop != energy.L12MB {
-			s.l12m.Flush()
-		}
-		if s.l11g != nil && drop != energy.L11GB {
-			s.l11g.Flush()
-		}
-		if drop != energy.L2Page {
-			s.l2.Flush()
-		}
-	} else {
-		in4K := func(e tlb.Entry) bool {
-			va := addr.VA(e.Key << addr.Shift4K)
-			return va >= addr.PageBase(start, addr.Page4K) && va < end
-		}
-		inMixed := func(e tlb.Entry) bool {
-			sz := addr.PageSize(e.Key >> 60)
-			va := addr.VA((e.Key & (1<<60 - 1)) << sz.Shift())
-			return va+addr.VA(sz.Bytes()) > start && va < end
-		}
-		if s.p.mixedL1() {
-			if drop != energy.L14KB {
-				s.l14k.InvalidateIf(inMixed)
-			}
-		} else {
-			if drop != energy.L14KB {
-				s.l14k.InvalidateIf(in4K)
-			}
-			if s.l12m != nil && drop != energy.L12MB {
-				s.l12m.InvalidateIf(func(e tlb.Entry) bool {
-					va := addr.VA(e.Key << addr.Shift2M)
-					return va+addr.VA(addr.Bytes2M) > start && va < end
-				})
-			}
-			if s.l11g != nil && drop != energy.L11GB {
-				s.l11g.InvalidateIf(func(e tlb.Entry) bool {
-					va := addr.VA(e.Key << addr.Shift1G)
-					return va+addr.VA(addr.Bytes1G) > start && va < end
-				})
-			}
-		}
-		if drop != energy.L2Page {
-			s.l2.InvalidateIf(inMixed)
+	flush := uint64(end-start)>>addr.Shift4K > shootdownFlushPages
+	s.traceShootdown(uint64(start), uint64(end), flush)
+	overlaps := func(va addr.VA, sz addr.PageSize) bool {
+		return va+addr.VA(sz.Bytes()) > start && va < end
+	}
+	inMixed := func(e tlb.Entry) bool {
+		sz := addr.PageSize(e.Key >> 60)
+		return overlaps(addr.VA((e.Key&(1<<60-1))<<sz.Shift()), sz)
+	}
+	invalidate := func(t *tlb.SetAssoc, mixed bool, sz addr.PageSize) {
+		switch {
+		case t.Name() == drop:
+		case flush:
+			t.Flush()
+		case mixed:
+			t.InvalidateIf(inMixed)
+		default:
+			t.InvalidateIf(func(e tlb.Entry) bool { return overlaps(addr.VA(e.Key<<sz.Shift()), sz) })
 		}
 	}
+	for _, t := range s.l1 {
+		invalidate(t.tlb, t.mixed, t.size)
+	}
+	invalidate(s.l2, true, 0)
 	if s.l1rng != nil && drop != energy.L1Range {
 		s.l1rng.InvalidateOverlapping(start, end)
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"xlate/internal/addr"
 	"xlate/internal/energy"
+	"xlate/internal/physmem"
 	"xlate/internal/trace"
 	"xlate/internal/vm"
 )
@@ -32,8 +35,18 @@ func runSim(t *testing.T, p Params, as *vm.AddressSpace, stream trace.Stream, in
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run(trace.NewGenerator(stream, 3), instrs)
+	res := mustRun(t, sim, trace.NewGenerator(stream, 3), instrs)
 	return sim, res
+}
+
+// mustRun drives sim through RunContext and fails the test on any error.
+func mustRun(t testing.TB, sim *Simulator, src trace.RefSource, instrs uint64) Result {
+	t.Helper()
+	res, err := sim.RunContext(context.Background(), src, instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestConfigNames(t *testing.T) {
@@ -306,6 +319,36 @@ func TestUnmappedAccessPanics(t *testing.T) {
 	sim.Access(addr.VA(0xdead0000), 1)
 }
 
+// A demand-paged stream that touches more 2 MB chunks than physical
+// memory holds ends the run with a typed error and the partial Result,
+// never a panic: here 8 MB backs four chunks and the fifth touch fails.
+func TestDemandFaultExhaustionIsTypedError(t *testing.T) {
+	for _, kind := range []ConfigKind{Cfg4KB, CfgRMMLite} {
+		as := vm.New(vm.Config{Policy: PolicyFor(kind, 0), PhysBytes: 8 << 20, Seed: 1})
+		p := DefaultParams(kind)
+		p.DemandPaging = true
+		sim, err := NewSimulator(p, as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refs []trace.Ref
+		for i := 0; i < 16; i++ {
+			refs = append(refs, trace.Ref{VA: addr.VA(1<<30 + i*addr.Bytes2M), Instrs: 1})
+		}
+		res, err := sim.RunContext(context.Background(), trace.NewReplay(refs), 1000)
+		if !errors.Is(err, physmem.ErrOutOfMemory) {
+			t.Fatalf("%v: RunContext error = %v, want physmem.ErrOutOfMemory", kind, err)
+		}
+		if res.PageFaults != 4 || res.MemRefs != 5 {
+			t.Errorf("%v: partial result has %d faults over %d refs, want 4 over 5 (the faulting one counted)",
+				kind, res.PageFaults, res.MemRefs)
+		}
+		if sim.Err() != err {
+			t.Errorf("%v: Err() = %v, want the error RunContext returned", kind, sim.Err())
+		}
+	}
+}
+
 func TestResultDerivedMetrics(t *testing.T) {
 	r := Result{Instructions: 1_000_000, MemRefs: 300_000, L1Misses: 5000, L2Misses: 100,
 		CyclesTLBMiss: 40_000, Hits4K: 200_000, Hits2M: 95_000}
@@ -360,7 +403,7 @@ func TestLiteReactsToHugePageBreaking(t *testing.T) {
 
 	// Phase 1: all-huge-page phase. The 4KB TLB sees no hits, so Lite
 	// shrinks it to one way.
-	sim.Run(gen, 2_000_000)
+	mustRun(t, sim, gen, 2_000_000)
 	share := sim.Lite().LookupShareAtWays(0)
 	if share[0] < 0.5 {
 		t.Fatalf("setup: 4KB TLB should mostly run at 1 way, share=%v", share)
@@ -375,7 +418,7 @@ func TestLiteReactsToHugePageBreaking(t *testing.T) {
 	misses0 := sim.Result().L1Misses
 
 	before := sim.Lite().Reactivations()
-	sim.Run(gen, 4_000_000)
+	mustRun(t, sim, gen, 4_000_000)
 	if sim.Lite().Reactivations() == before {
 		t.Fatal("degradation response did not fire after huge-page breaking")
 	}

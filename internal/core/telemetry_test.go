@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xlate/internal/addr"
 	"xlate/internal/telemetry"
 	"xlate/internal/trace"
 	"xlate/internal/vm"
@@ -86,7 +87,7 @@ func TestTelemetryRegistryMatchesResult(t *testing.T) {
 	check("l1 misses", m.l1Misses.Load(), res.L1Misses)
 	check("l2 misses", m.l2Misses.Load(), res.L2Misses)
 	check("walk refs", m.walkRefs.Load(), res.WalkRefs)
-	check("hits 4k", m.hits4K.Load(), res.Hits4K)
+	check("hits 4k", m.hits[addr.Page4K].Load(), res.Hits4K)
 	check("hits range", m.hitsRange.Load(), res.HitsRange)
 	check("miss cycles", m.missCycles.Load(), res.CyclesTLBMiss)
 	check("lite resizes", m.liteResizes.Load(), res.LiteResizes)
@@ -175,7 +176,7 @@ func TestFlushTelemetryAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(trace.NewGenerator(trace.Uniform(window(reg), 3), 3), 50_000)
+	mustRun(t, sim, trace.NewGenerator(trace.Uniform(window(reg), 3), 3), 50_000)
 	if n := testing.AllocsPerRun(200, sim.flushTelemetry); n != 0 {
 		t.Fatalf("flushTelemetry allocates %v per call, want 0", n)
 	}

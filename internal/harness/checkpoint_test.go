@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xlate/internal/core"
@@ -150,10 +151,9 @@ func TestResumeSurvivesTornCheckpointTail(t *testing.T) {
 	defer cancel()
 	s1 := New(Config{Workers: 2, Checkpoint: ckpt, Options: opts})
 	var once sync.Once
-	done := 0
+	var done atomic.Int32 // the hook runs on worker goroutines
 	s1.onCellDone = func(string) {
-		done++
-		if done >= 2 {
+		if done.Add(1) >= 2 {
 			once.Do(cancel)
 		}
 	}

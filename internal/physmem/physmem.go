@@ -16,6 +16,7 @@
 package physmem
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -27,6 +28,11 @@ const FrameShift = addr.Shift4K
 
 // MaxOrder is the largest supported block order: 2^24 frames = 64 GB.
 const MaxOrder = 24
+
+// ErrOutOfMemory is wrapped by every Alloc failure for lack of a free
+// block, so callers up the stack (demand paging in particular) can
+// classify memory exhaustion with errors.Is.
+var ErrOutOfMemory = errors.New("physmem: out of memory")
 
 // Allocator is a buddy allocator over a contiguous physical frame range
 // [0, frames). The zero value is not usable; use New.
@@ -95,8 +101,8 @@ func (a *Allocator) Alloc(order int) (addr.PA, error) {
 		k++
 	}
 	if k > MaxOrder {
-		return 0, fmt.Errorf("physmem: out of memory for order-%d block (%d frames allocated of %d)",
-			order, a.allocated, a.frames)
+		return 0, fmt.Errorf("%w for order-%d block (%d frames allocated of %d)",
+			ErrOutOfMemory, order, a.allocated, a.frames)
 	}
 	// Pick the lowest-based free block of the order. Taking an arbitrary
 	// map key here would make frame placement — and therefore physical

@@ -79,7 +79,7 @@ func (w WireJob) Job() (exper.Job, error) {
 	}
 	p.EnergyDB = energy.FromEntries(w.EnergyDB)
 	if err := p.Validate(); err != nil {
-		return exper.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return exper.Job{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if w.Spec.Name == "" {
 		return exper.Job{}, fmt.Errorf("%w: cell spec has no workload name", ErrBadRequest)

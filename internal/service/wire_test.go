@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
+	"slices"
 	"testing"
 
 	"xlate/internal/core"
@@ -90,11 +92,26 @@ func TestWireJobRejectsGarbage(t *testing.T) {
 			w.Params.L14KEntries = -4
 			return w
 		}(),
+		// A database missing a cost the configuration can charge (here
+		// the L1-2MB TLB at 2 ways, reached once Lite shrinks it).
+		"partial-energy": func() WireJob {
+			j := wireTestJob(t)
+			j.Params = core.DefaultParams(core.CfgTLBLite)
+			w := EncodeJob(j)
+			w.EnergyDB = slices.DeleteFunc(w.EnergyDB, func(e energy.Entry) bool {
+				return e.Name == energy.L12MB && e.Ways == 2
+			})
+			return w
+		}(),
 	}
 	for name, w := range cases {
-		if _, err := w.Job(); err == nil {
-			t.Errorf("%s: Job() accepted a malformed wire cell", name)
+		_, err := w.Job()
+		if !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: Job() = %v, want ErrBadRequest", name, err)
 		}
+	}
+	if _, err := cases["partial-energy"].Job(); !errors.Is(err, core.ErrInvalidParams) {
+		t.Errorf("partial-energy: Job() = %v, want it to wrap core.ErrInvalidParams", err)
 	}
 }
 

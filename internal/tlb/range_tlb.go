@@ -136,7 +136,7 @@ func (t *RangeTLB) InvalidateOverlapping(start, end addr.VA) int {
 			n++
 			continue
 		}
-		dst = append(dst, e) //eeatlint:allow hotpath dst compacts in place over entries' own backing array; its length never exceeds the original
+		dst = append(dst, e) // compacts in place over entries' own backing array
 	}
 	t.entries = dst
 	t.stats.Invals += uint64(n)

@@ -226,14 +226,23 @@ func (s *Store) Put(key string, data []byte) error {
 // (singleflight) — the harness fans the same spec across many cells,
 // and exactly one of them should pay the compile.
 func (s *Store) GetOrCompile(key string, compile func() ([]byte, error)) ([]byte, error) {
-	if data, err := s.Get(key); err == nil {
-		return data, nil
-	}
-	s.mu.Lock()
-	if call, ok := s.flight[key]; ok {
+	for {
+		if data, err := s.Get(key); err == nil {
+			return data, nil
+		}
+		s.mu.Lock()
+		if call, ok := s.flight[key]; ok {
+			s.mu.Unlock()
+			<-call.done
+			return call.data, call.err
+		}
+		if _, ok := s.entries[key]; !ok {
+			break // still s.mu-locked: become the key's flight below
+		}
+		// A flight stored the segment and ended between the Get above
+		// and this lock: go round again, which reads it back instead of
+		// compiling it again.
 		s.mu.Unlock()
-		<-call.done
-		return call.data, call.err
 	}
 	call := &compileCall{done: make(chan struct{})}
 	s.flight[key] = call

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"context"
 	"testing"
 
 	"xlate/internal/core"
@@ -108,7 +109,11 @@ func runWorkload(t *testing.T, s workloads.Spec, kind core.ConfigKind, instrs ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run(gen, instrs)
+	res, err := sim.RunContext(context.Background(), gen, instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // Calibration: the intensive set must exceed 5 L1 MPKI with 4 KB pages —

@@ -254,7 +254,15 @@ func RecordTrace(w Workload, cfg Config, n int, opt RunOptions) ([]Ref, error) {
 // the trace as needed to fill the instruction budget). The address
 // space is demand-paged under the configuration's OS policy, so traces
 // recorded anywhere — including from real programs — can be replayed.
+// A trace that touches more 2 MB chunks than the 64 GiB of simulated
+// physical memory can back fails with an error wrapping the allocator's
+// out-of-memory error, returned with the partial Result.
 func ReplayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions) (Result, error) {
+	return replayTrace(refs, p, instrs, opt, 64<<30)
+}
+
+// replayTrace is ReplayTrace over physBytes of simulated physical memory.
+func replayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions, physBytes uint64) (Result, error) {
 	if len(refs) == 0 {
 		return Result{}, fmt.Errorf("xlate: %w: empty trace", ErrInvalidParams)
 	}
@@ -262,10 +270,10 @@ func ReplayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions) (Result, e
 		opt.Seed = 42
 	}
 	p.DemandPaging = true
-	as := vm.New(vm.Config{Policy: core.PolicyFor(p.Kind, 0.5), Seed: opt.Seed, PhysBytes: 64 << 30})
+	as := vm.New(vm.Config{Policy: core.PolicyFor(p.Kind, 0.5), Seed: opt.Seed, PhysBytes: physBytes})
 	sim, err := core.NewSimulator(p, as)
 	if err != nil {
 		return Result{}, err
 	}
-	return sim.Run(trace.NewReplay(refs), instrs), nil
+	return sim.RunContext(context.Background(), trace.NewReplay(refs), instrs)
 }

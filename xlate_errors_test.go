@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"xlate"
+	"xlate/internal/addr"
+	"xlate/internal/physmem"
 )
 
 // validWorkload is a minimal well-formed custom workload the invalid
@@ -102,6 +104,28 @@ func TestLookupErrorsWrapSentinels(t *testing.T) {
 	p := xlate.DefaultParams(xlate.CfgTHP)
 	if _, err := xlate.ReplayTrace(nil, p, 1000, xlate.RunOptions{}); !errors.Is(err, xlate.ErrInvalidParams) {
 		t.Errorf("ReplayTrace(empty) = %v, want ErrInvalidParams", err)
+	}
+}
+
+// TestReplayTraceOutOfMemoryIsError replays a trace that touches more
+// 2 MB chunks than physical memory holds: the demand fault that cannot
+// be backed must come back as an error wrapping the allocator's
+// out-of-memory error, with the partial Result, and never as a panic or
+// as a cut-short Result with a nil error.
+func TestReplayTraceOutOfMemoryIsError(t *testing.T) {
+	var refs []xlate.Ref
+	for i := 0; i < 16; i++ {
+		refs = append(refs, xlate.Ref{VA: addr.VA(1<<30 + i*addr.Bytes2M), Instrs: 1})
+	}
+	for _, cfg := range []xlate.Config{xlate.CfgTHP, xlate.CfgRMMLite} {
+		p := xlate.DefaultParams(cfg)
+		res, err := xlate.ReplayTraceWithPhysBytes(refs, p, 1000, xlate.RunOptions{}, 8<<20)
+		if !errors.Is(err, physmem.ErrOutOfMemory) {
+			t.Fatalf("%v: ReplayTrace error = %v, want physmem.ErrOutOfMemory", cfg, err)
+		}
+		if res.MemRefs == 0 || res.MemRefs >= uint64(len(refs)) {
+			t.Errorf("%v: partial result covers %d refs, want the refs up to the failing fault", cfg, res.MemRefs)
+		}
 	}
 }
 
