@@ -45,21 +45,18 @@ const (
 	Bytes1G = 1 << Shift1G
 )
 
-// Shift returns the log2 of the page size in bytes.
-func (s PageSize) Shift() uint {
-	switch s {
-	case Page4K:
-		return Shift4K
-	case Page2M:
-		return Shift2M
-	case Page1G:
-		return Shift1G
-	}
-	panic(fmt.Sprintf("addr: invalid page size %d", int(s)))
-}
+var shifts = [NumPageSizes]uint{Shift4K, Shift2M, Shift1G}
+
+// Shift returns the log2 of the page size in bytes. It panics (index
+// out of range) on an invalid page size.
+func (s PageSize) Shift() uint { return shifts[s] }
 
 // Bytes returns the page size in bytes.
 func (s PageSize) Bytes() uint64 { return 1 << s.Shift() }
+
+// LeafLevel returns the page-table level at which a page of size s
+// terminates: PT for 4 KB, PD for 2 MB, PDPT for 1 GB.
+func (s PageSize) LeafLevel() Level { return LvlPT - Level(s) }
 
 // String returns the conventional name of the page size.
 func (s PageSize) String() string {
@@ -118,20 +115,9 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", int(l))
 }
 
-// indexShift returns the bit position of the 9-bit index for the level.
-func (l Level) indexShift() uint {
-	switch l {
-	case LvlPML4:
-		return 39
-	case LvlPDPT:
-		return 30
-	case LvlPD:
-		return 21
-	case LvlPT:
-		return 12
-	}
-	panic(fmt.Sprintf("addr: invalid level %d", int(l)))
-}
+// indexShift returns the bit position of the 9-bit index for the level:
+// 39 at the PML4 down to 12 at the PT, nine bits per level.
+func (l Level) indexShift() uint { return Shift4K + 9*uint(LvlPT-l) }
 
 // Index extracts the 9-bit radix-tree index for the level from va.
 func (l Level) Index(va VA) int {

@@ -78,3 +78,7 @@ func BenchmarkAccess4KB(b *testing.B)     { benchAccess(b, Cfg4KB) }
 func BenchmarkAccessTHP(b *testing.B)     { benchAccess(b, CfgTHP) }
 func BenchmarkAccessTLBLite(b *testing.B) { benchAccess(b, CfgTLBLite) }
 func BenchmarkAccessRMMLite(b *testing.B) { benchAccess(b, CfgRMMLite) }
+
+// BenchmarkAccessTLBPP covers the mixed L1, the one probe path that
+// translates before probing (its tag embeds the page size).
+func BenchmarkAccessTLBPP(b *testing.B) { benchAccess(b, CfgTLBPP) }

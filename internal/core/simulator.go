@@ -20,7 +20,8 @@ import (
 
 // Simulator is one core's MMU: the TLB hierarchy of the selected
 // configuration attached to a process address space. Drive it with
-// Access (one memory operation at a time) or Run (a whole trace).
+// Access (one memory operation at a time) or RunContext (a whole
+// reference stream).
 type Simulator struct {
 	p  Params
 	as *vm.AddressSpace
@@ -217,18 +218,6 @@ func mixKey(va addr.VA, sz addr.PageSize) uint64 {
 	return uint64(sz)<<60 | addr.VPN(va, sz)
 }
 
-func leafLevelOf(sz addr.PageSize) addr.Level {
-	switch sz {
-	case addr.Page4K:
-		return addr.LvlPT
-	case addr.Page2M:
-		return addr.LvlPD
-	case addr.Page1G:
-		return addr.LvlPDPT
-	}
-	panic("core: invalid page size")
-}
-
 // charge books pj picojoules against acc, both in the per-account
 // breakdown and the shadow total the conservation audit compares
 // against. It is the simulator's single energy charging primitive;
@@ -320,10 +309,14 @@ func (s *Simulator) probeL1(t *l1Page, key uint64) (tlb.Entry, int, bool) {
 // and walk charges the energy model; the performance model adds 7 cycles
 // per L1 miss and 50 per L2 miss (Table 3).
 //
+// L1 probes come first; the page table is read only when every L1
+// structure misses (the mixed L1 of TLB_PP and the predictor configs,
+// whose tag embeds the page size, translates up front).
+//
 // Under Params.DemandPaging, a reference the address space cannot back
-// (physical memory exhausted) is counted but not translated; RunContext
-// returns the failure, and callers driving Access directly read it from
-// Err.
+// (physical memory exhausted) is counted, and on split L1s its L1
+// probes are charged, but it goes no further; RunContext returns the
+// failure, and callers driving Access directly read it from Err.
 //
 // Access is the root of the simulator's hot path: everything it
 // reaches must stay allocation-free (the AllocsPerRun pins check this
@@ -341,11 +334,10 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 		s.aud.BeginAccess(va, &s.st.energy)
 	}
 
-	m, ok := s.as.PageTable().Lookup(va)
-	if !ok {
-		if m, ok = s.demandFault(va); !ok {
-			return
-		}
+	var m pagetable.Mapping
+	mixed := s.l1[0].mixed
+	if mixed && !s.translate(va, &m) {
+		return
 	}
 
 	if s.ctl != nil {
@@ -406,6 +398,9 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	case pageHit:
 		s.st.hits[pageHitSize]++
 	default:
+		if !mixed && !s.translate(va, &m) {
+			return
+		}
 		s.missPath(va, m)
 	}
 
@@ -432,6 +427,16 @@ func (s *Simulator) Access(va addr.VA, instrs uint64) {
 	if s.aud != nil {
 		s.aud.EndAccess(&s.st.energy, s.st.shadowPJ)
 	}
+}
+
+// translate stores the mapping covering va in *m, demand-faulting it in
+// on its first touch. False means the fault failed; the error is in s.err.
+func (s *Simulator) translate(va addr.VA, m *pagetable.Mapping) bool {
+	var ok bool
+	if *m, ok = s.as.PageTable().Lookup(va); !ok {
+		*m, ok = s.demandFault(va)
+	}
+	return ok
 }
 
 // demandFault maps the chunk holding va on its first touch
@@ -547,7 +552,7 @@ func (s *Simulator) walkPath(va addr.VA, m pagetable.Mapping) {
 	for i, st := range s.mmu.Structures() {
 		fillsBefore[i] = st.Stats().Fills
 	}
-	s.mmu.Fill(va, leafLevelOf(wm.Size))
+	s.mmu.Fill(va, wm.Size.LeafLevel())
 	for i, st := range s.mmu.Structures() {
 		if st.Stats().Fills > fillsBefore[i] {
 			s.charge(energy.AccMMUCache, s.cost.mmu[i].WritePJ)

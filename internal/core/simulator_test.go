@@ -322,20 +322,28 @@ func TestUnmappedAccessPanics(t *testing.T) {
 // A demand-paged stream that touches more 2 MB chunks than physical
 // memory holds ends the run with a typed error and the partial Result,
 // never a panic: here 8 MB backs four chunks and the fifth touch fails.
+// Access keeps hardware order on the failing reference too: it is
+// counted and its L1 probes are charged (the probe precedes the walk and
+// the fault), but nothing past the L1 is, since the reference has no
+// translation to look up in the L2 or to walk to.
 func TestDemandFaultExhaustionIsTypedError(t *testing.T) {
 	for _, kind := range []ConfigKind{Cfg4KB, CfgRMMLite} {
-		as := vm.New(vm.Config{Policy: PolicyFor(kind, 0), PhysBytes: 8 << 20, Seed: 1})
-		p := DefaultParams(kind)
-		p.DemandPaging = true
-		sim, err := NewSimulator(p, as)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var refs []trace.Ref
 		for i := 0; i < 16; i++ {
 			refs = append(refs, trace.Ref{VA: addr.VA(1<<30 + i*addr.Bytes2M), Instrs: 1})
 		}
-		res, err := sim.RunContext(context.Background(), trace.NewReplay(refs), 1000)
+		run := func(instrBudget uint64) (*Simulator, Result, error) {
+			as := vm.New(vm.Config{Policy: PolicyFor(kind, 0), PhysBytes: 8 << 20, Seed: 1})
+			p := DefaultParams(kind)
+			p.DemandPaging = true
+			sim, err := NewSimulator(p, as)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunContext(context.Background(), trace.NewReplay(refs), instrBudget)
+			return sim, res, err
+		}
+		sim, res, err := run(1000)
 		if !errors.Is(err, physmem.ErrOutOfMemory) {
 			t.Fatalf("%v: RunContext error = %v, want physmem.ErrOutOfMemory", kind, err)
 		}
@@ -345,6 +353,28 @@ func TestDemandFaultExhaustionIsTypedError(t *testing.T) {
 		}
 		if sim.Err() != err {
 			t.Errorf("%v: Err() = %v, want the error RunContext returned", kind, sim.Err())
+		}
+
+		// The same run stopped just before the failing reference.
+		_, before, err := run(4)
+		if err != nil || before.MemRefs != 4 {
+			t.Fatalf("%v: four-reference run = %d refs, %v", kind, before.MemRefs, err)
+		}
+		probed := []energy.Account{energy.AccL1Page4K}
+		if kind == CfgRMMLite {
+			probed = append(probed, energy.AccL1Range)
+		}
+		for _, acc := range probed {
+			if res.Energy[acc] <= before.Energy[acc] {
+				t.Errorf("%v: failing reference charged nothing to %v (%v pJ before, %v after)",
+					kind, acc, before.Energy[acc], res.Energy[acc])
+			}
+		}
+		for _, acc := range []energy.Account{energy.AccL2Page, energy.AccPageWalk} {
+			if res.Energy[acc] != before.Energy[acc] {
+				t.Errorf("%v: failing reference charged %v pJ to %v",
+					kind, res.Energy[acc]-before.Energy[acc], acc)
+			}
 		}
 	}
 }

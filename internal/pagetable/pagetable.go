@@ -42,18 +42,8 @@ type Table struct {
 // New returns an empty page table.
 func New() *Table { return &Table{root: &node{}} }
 
-// leafLevel returns the tree level at which a page of size s terminates.
-func leafLevel(s addr.PageSize) addr.Level {
-	switch s {
-	case addr.Page4K:
-		return addr.LvlPT
-	case addr.Page2M:
-		return addr.LvlPD
-	case addr.Page1G:
-		return addr.LvlPDPT
-	}
-	panic(fmt.Sprintf("pagetable: invalid page size %d", int(s)))
-}
+// sizeAtLevel is the inverse of addr.PageSize.LeafLevel.
+func sizeAtLevel(l addr.Level) addr.PageSize { return addr.PageSize(addr.LvlPT - l) }
 
 // Map installs a translation from the page of size s containing va to
 // the physical frame. Both va and frame must be aligned to the page
@@ -67,7 +57,7 @@ func (t *Table) Map(va addr.VA, s addr.PageSize, frame addr.PA) error {
 	if !addr.IsAligned(uint64(frame), s.Bytes()) {
 		return fmt.Errorf("pagetable: frame %#x not aligned to %v", uint64(frame), s)
 	}
-	target := leafLevel(s)
+	target := s.LeafLevel()
 	n := t.root
 	for lvl := addr.LvlPML4; ; lvl++ {
 		sl := &n.slots[lvl.Index(va)]
@@ -97,30 +87,25 @@ func (t *Table) Map(va addr.VA, s addr.PageSize, frame addr.PA) error {
 
 // Lookup translates va, returning the leaf mapping covering it.
 func (t *Table) Lookup(va addr.VA) (Mapping, bool) {
+	m, _, ok := t.descend(va)
+	return m, ok
+}
+
+// descend follows va from the root to its leaf, returning the mapping
+// and the level the descent stopped at: the leaf's level, or the level
+// whose entry was empty.
+func (t *Table) descend(va addr.VA) (Mapping, addr.Level, bool) {
 	n := t.root
-	for lvl := addr.LvlPML4; lvl <= addr.LvlPT; lvl++ {
+	for lvl := addr.LvlPML4; ; lvl++ {
 		sl := &n.slots[lvl.Index(va)]
 		if sl.leaf {
-			return Mapping{Frame: sl.frame, Size: sizeAtLevel(lvl)}, true
+			return Mapping{Frame: sl.frame, Size: sizeAtLevel(lvl)}, lvl, true
 		}
-		if sl.child == nil {
-			return Mapping{}, false
+		if sl.child == nil || lvl == addr.LvlPT {
+			return Mapping{}, lvl, false
 		}
 		n = sl.child
 	}
-	return Mapping{}, false
-}
-
-func sizeAtLevel(l addr.Level) addr.PageSize {
-	switch l {
-	case addr.LvlPDPT:
-		return addr.Page1G
-	case addr.LvlPD:
-		return addr.Page2M
-	case addr.LvlPT:
-		return addr.Page4K
-	}
-	panic(fmt.Sprintf("pagetable: no page size terminates at %v", l))
 }
 
 // Unmap removes the leaf mapping covering va, pruning now-empty interior
@@ -200,23 +185,8 @@ func NewWalker(t *Table) *Walker { return &Walker{table: t} }
 //
 //eeat:hotpath
 func (w *Walker) Walk(va addr.VA, startLevel addr.Level) (Mapping, int, bool) {
-	// Re-descend from the root without charging the skipped levels:
-	// the tree must be traversed structurally, but only levels >=
-	// startLevel cost memory references.
-	n := w.table.root
-	refs := 0
-	for lvl := addr.LvlPML4; lvl <= addr.LvlPT; lvl++ {
-		if lvl >= startLevel {
-			refs++
-		}
-		sl := &n.slots[lvl.Index(va)]
-		if sl.leaf {
-			return Mapping{Frame: sl.frame, Size: sizeAtLevel(lvl)}, refs, true
-		}
-		if sl.child == nil {
-			return Mapping{}, refs, false
-		}
-		n = sl.child
-	}
-	return Mapping{}, refs, false
+	// The tree is traversed structurally from the root, but only levels
+	// >= startLevel cost memory references.
+	m, stop, ok := w.table.descend(va)
+	return m, max(0, int(stop-startLevel)+1), ok
 }

@@ -245,3 +245,74 @@ func TestQuickWalkRefsMatchPageSize(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLookupAgreesWithWalk pins the page-table descent that Lookup and
+// the walker share against a brute-force model. Random 4 KB, 2 MB and
+// 1 GB mappings are packed into a few slots per level, so probes land
+// on leaves of every size and on holes at every level. For each probe,
+// Lookup must return the same mapping and ok as a full Walk, both must
+// match the model's covering mapping, and a walk from any start level
+// must be charged for the levels from there down to the leaf or to the
+// first empty entry.
+func TestLookupAgreesWithWalk(t *testing.T) {
+	type mapping struct {
+		va addr.VA
+		m  Mapping
+	}
+	// va composes per-level indices. Mappings use indices below 3, so a
+	// probe with index 3 at some level finds a hole there.
+	va := func(pml4, pdpt, pd, pt int) addr.VA {
+		return addr.VA(pml4<<39 | pdpt<<30 | pd<<21 | pt<<12)
+	}
+	sizes := []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pt := New()
+		w := NewWalker(pt)
+		var model []mapping
+		for i := 0; i < 40; i++ {
+			s := sizes[rng.Intn(3)]
+			base := addr.PageBase(va(rng.Intn(3), rng.Intn(3), rng.Intn(3), rng.Intn(3)), s)
+			frame := addr.PA(addr.AlignDown(uint64(rng.Int63n(1<<40)), s.Bytes()))
+			if pt.Map(base, s, frame) == nil {
+				model = append(model, mapping{base, Mapping{Frame: frame, Size: s}})
+			}
+		}
+		for probeIdx := 0; probeIdx < 256; probeIdx++ {
+			probe := va(probeIdx>>6, probeIdx>>4&3, probeIdx>>2&3, probeIdx&3) + addr.VA(rng.Int63n(addr.Bytes4K))
+			var want Mapping
+			wantOK := false
+			deepest := -1 // deepest level whose entry for probe is occupied
+			for _, mm := range model {
+				if probe >= mm.va && uint64(probe-mm.va) < mm.m.Size.Bytes() {
+					want, wantOK = mm.m, true
+				}
+				for lvl := addr.LvlPML4; lvl <= mm.m.Size.LeafLevel() && lvl.Prefix(probe) == lvl.Prefix(mm.va); lvl++ {
+					deepest = max(deepest, int(lvl))
+				}
+			}
+			// A mapped descent stops at the leaf; an unmapped one at the
+			// first empty entry below the occupied ones.
+			stop := deepest + 1
+			if wantOK {
+				stop = deepest
+			}
+			got, ok := pt.Lookup(probe)
+			if ok != wantOK || got != want {
+				t.Fatalf("seed %d va %#x: Lookup = %+v,%v, want %+v,%v",
+					seed, uint64(probe), got, ok, want, wantOK)
+			}
+			for start := addr.LvlPML4; start <= addr.LvlPT; start++ {
+				wm, refs, wok := w.Walk(probe, start)
+				if wm != got || wok != ok {
+					t.Fatalf("seed %d va %#x: Lookup = %+v,%v but Walk from %v = %+v,%v",
+						seed, uint64(probe), got, ok, start, wm, wok)
+				}
+				if wantRefs := max(0, stop-int(start)+1); refs != wantRefs {
+					t.Fatalf("seed %d va %#x: walk from %v made %d refs, want %d",
+						seed, uint64(probe), start, refs, wantRefs)
+				}
+			}
+		}
+	}
+}

@@ -23,6 +23,9 @@ func FuzzSetAssoc(f *testing.F) {
 		}
 		geoms := []struct{ entries, ways int }{
 			{64, 4}, {32, 4}, {16, 16}, {8, 2}, {4, 1},
+			// 6 and 5 sets take the modulo set index instead of the
+			// mask; 3 ways is a non-power-of-two associativity.
+			{24, 4}, {12, 3}, {15, 3},
 		}
 		g := geoms[int(ops[0])%len(geoms)]
 		ops = ops[1:]

@@ -39,10 +39,6 @@ type Entry struct {
 	Frame uint64
 }
 
-// slotList is one set's contents ordered most-recently-used first, so
-// index in the slice IS the LRU stack position (0 = MRU).
-type slotList []Entry
-
 // SetAssoc is a set-associative TLB with true LRU replacement per set
 // and support for way-disabling (Albonesi, MICRO 1999): only the first
 // ActiveWays LRU stack positions of each set are usable. Disabling ways
@@ -52,14 +48,21 @@ type slotList []Entry
 // The geometry is fixed at construction: entries/ways sets. Way-disabling
 // shrinks associativity while the set count stays constant, exactly as
 // the paper's Lite mechanism assumes (§4.1).
+//
+// All sets live in one flat array: set i's n[i] resident entries start
+// at data[i*ways], most recently used first, so the offset within the
+// set IS the LRU stack position (0 = MRU).
 type SetAssoc struct {
 	name string
 	sets int
 	ways int
+	mask uint64 // key & mask is the set when pow2; otherwise key % sets
+	pow2 bool
 
 	active int // currently active ways, 1..ways
 
-	data  []slotList
+	data  []Entry
+	n     []int
 	stats Stats
 }
 
@@ -70,12 +73,9 @@ func NewSetAssoc(name string, entries, ways int) *SetAssoc {
 		panic(fmt.Sprintf("tlb: invalid geometry %d entries / %d ways", entries, ways))
 	}
 	sets := entries / ways
-	t := &SetAssoc{name: name, sets: sets, ways: ways, active: ways,
-		data: make([]slotList, sets)}
-	for i := range t.data {
-		t.data[i] = make(slotList, 0, ways)
-	}
-	return t
+	return &SetAssoc{name: name, sets: sets, ways: ways, active: ways,
+		mask: uint64(sets - 1), pow2: sets&(sets-1) == 0,
+		data: make([]Entry, entries), n: make([]int, sets)}
 }
 
 // NewFullyAssoc constructs a fully-associative TLB (a single set).
@@ -107,8 +107,24 @@ func (t *SetAssoc) Stats() Stats { return t.stats }
 // ResetStats zeroes the event counters.
 func (t *SetAssoc) ResetStats() { t.stats = Stats{} }
 
-func (t *SetAssoc) set(key uint64) *slotList {
-	return &t.data[int(key%uint64(t.sets))]
+func (t *SetAssoc) setOf(key uint64) int {
+	if t.pow2 {
+		return int(key & t.mask)
+	}
+	return int(key % uint64(t.sets))
+}
+
+// resident returns set i's resident entries, MRU first.
+func (t *SetAssoc) resident(i int) []Entry { return t.data[i*t.ways : i*t.ways+t.n[i]] }
+
+// toFront shifts s[:pos] one slot toward the LRU end and writes e at
+// the MRU position: a promotion when s[pos] held e, a fill when pos is
+// the first free slot.
+func toFront(s []Entry, pos int, e Entry) {
+	for j := pos; j > 0; j-- {
+		s[j] = s[j-1]
+	}
+	s[0] = e
 }
 
 // Lookup probes the TLB. On a hit it returns the entry, the entry's LRU
@@ -118,12 +134,12 @@ func (t *SetAssoc) set(key uint64) *slotList {
 //eeat:hotpath
 func (t *SetAssoc) Lookup(key uint64) (Entry, int, bool) {
 	t.stats.Lookups++
-	s := t.set(key)
-	for i, e := range *s {
-		if e.Key == key {
+	s := t.resident(t.setOf(key))
+	for i := range s {
+		if s[i].Key == key {
 			t.stats.Hits++
-			copy((*s)[1:i+1], (*s)[:i])
-			(*s)[0] = e
+			e := s[i]
+			toFront(s, i, e)
 			return e, i, true
 		}
 	}
@@ -133,7 +149,7 @@ func (t *SetAssoc) Lookup(key uint64) (Entry, int, bool) {
 
 // Peek reports whether key is present without updating recency or stats.
 func (t *SetAssoc) Peek(key uint64) bool {
-	for _, e := range *t.set(key) {
+	for _, e := range t.resident(t.setOf(key)) {
 		if e.Key == key {
 			return true
 		}
@@ -148,31 +164,33 @@ func (t *SetAssoc) Peek(key uint64) bool {
 //
 //eeat:hotpath
 func (t *SetAssoc) Insert(e Entry) {
-	s := t.set(e.Key)
-	for i, old := range *s {
-		if old.Key == e.Key {
-			copy((*s)[1:i+1], (*s)[:i])
-			(*s)[0] = e
+	si := t.setOf(e.Key)
+	s := t.resident(si)
+	for i := range s {
+		if s[i].Key == e.Key {
+			toFront(s, i, e)
 			return
 		}
 	}
 	t.stats.Fills++
-	if len(*s) >= t.active {
+	n := len(s)
+	if n >= t.active {
 		t.stats.Evicts++
-		*s = (*s)[:t.active-1] // drop LRU tail
+		n = t.active - 1 // drop LRU tail
 	}
-	*s = append(*s, Entry{}) //eeatlint:allow hotpath slot list is preallocated to full way capacity; the eviction above keeps len below it
-	copy((*s)[1:], (*s)[:len(*s)-1])
-	(*s)[0] = e
+	t.n[si] = n + 1
+	toFront(t.resident(si), n, e)
 }
 
 // Invalidate removes the entry for key if present, returning whether it
 // was.
 func (t *SetAssoc) Invalidate(key uint64) bool {
-	s := t.set(key)
-	for i, e := range *s {
-		if e.Key == key {
-			*s = append((*s)[:i], (*s)[i+1:]...)
+	si := t.setOf(key)
+	s := t.resident(si)
+	for i := range s {
+		if s[i].Key == key {
+			copy(s[i:], s[i+1:])
+			t.n[si]--
 			t.stats.Invals++
 			return true
 		}
@@ -182,9 +200,9 @@ func (t *SetAssoc) Invalidate(key uint64) bool {
 
 // Flush invalidates every entry.
 func (t *SetAssoc) Flush() {
-	for i := range t.data {
-		t.stats.Invals += uint64(len(t.data[i]))
-		t.data[i] = t.data[i][:0]
+	for i, n := range t.n {
+		t.stats.Invals += uint64(n)
+		t.n[i] = 0
 	}
 }
 
@@ -197,12 +215,10 @@ func (t *SetAssoc) SetActiveWays(w int) {
 	if w < 1 || w > t.ways {
 		panic(fmt.Sprintf("tlb %s: SetActiveWays(%d) outside 1..%d", t.name, w, t.ways))
 	}
-	if w < t.active {
-		for i := range t.data {
-			if len(t.data[i]) > w {
-				t.stats.Invals += uint64(len(t.data[i]) - w)
-				t.data[i] = t.data[i][:w]
-			}
+	for i, n := range t.n {
+		if n > w {
+			t.stats.Invals += uint64(n - w)
+			t.n[i] = w
 		}
 	}
 	t.active = w
@@ -210,11 +226,11 @@ func (t *SetAssoc) SetActiveWays(w int) {
 
 // Len returns the number of valid entries currently held.
 func (t *SetAssoc) Len() int {
-	n := 0
-	for i := range t.data {
-		n += len(t.data[i])
+	total := 0
+	for _, n := range t.n {
+		total += n
 	}
-	return n
+	return total
 }
 
 // CheckInvariants validates structural consistency: no set exceeds the
@@ -224,13 +240,14 @@ func (t *SetAssoc) Len() int {
 // is allocation-free (the duplicate scan is pairwise over at most
 // Ways entries, which is cheaper than a map for TLB associativities).
 func (t *SetAssoc) CheckInvariants() error {
-	for i, s := range t.data {
-		if len(s) > t.active {
+	for i, n := range t.n {
+		if n > t.active {
 			return fmt.Errorf("tlb %s: set %d holds %d entries with %d active ways",
-				t.name, i, len(s), t.active)
+				t.name, i, n, t.active)
 		}
+		s := t.resident(i)
 		for j, e := range s {
-			if int(e.Key%uint64(t.sets)) != i {
+			if t.setOf(e.Key) != i {
 				return fmt.Errorf("tlb %s: key %#x in wrong set %d", t.name, e.Key, i)
 			}
 			for _, prev := range s[:j] {
@@ -247,8 +264,8 @@ func (t *SetAssoc) CheckInvariants() error {
 // statistics. It is allocation-free; the runtime auditor uses it for
 // coherence scans against the page table. fn must not mutate the TLB.
 func (t *SetAssoc) ForEach(fn func(Entry)) {
-	for i := range t.data {
-		for _, e := range t.data[i] {
+	for i := range t.n {
+		for _, e := range t.resident(i) {
 			fn(e)
 		}
 	}
@@ -261,9 +278,10 @@ func (t *SetAssoc) ForEach(fn func(Entry)) {
 // one cached entry in place to prove the auditor detects it — no
 // simulation path mutates entries this way.
 func (t *SetAssoc) MutateEntry(fn func(*Entry) bool) bool {
-	for i := range t.data {
-		for j := range t.data[i] {
-			if fn(&t.data[i][j]) {
+	for i := range t.n {
+		s := t.resident(i)
+		for j := range s {
+			if fn(&s[j]) {
 				return true
 			}
 		}
@@ -276,16 +294,18 @@ func (t *SetAssoc) MutateEntry(fn func(*Entry) bool) bool {
 // of address ranges.
 func (t *SetAssoc) InvalidateIf(pred func(Entry) bool) int {
 	n := 0
-	for i := range t.data {
-		dst := t.data[i][:0]
-		for _, e := range t.data[i] {
+	for i := range t.n {
+		kept := 0
+		s := t.resident(i)
+		for _, e := range s {
 			if pred(e) {
 				n++
 				continue
 			}
-			dst = append(dst, e)
+			s[kept] = e
+			kept++
 		}
-		t.data[i] = dst
+		t.n[i] = kept
 	}
 	t.stats.Invals += uint64(n)
 	return n
