@@ -117,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRangeTable -fuzztime=10s ./internal/rmm
 	$(GO) test -fuzz=FuzzAllocator -fuzztime=10s ./internal/physmem
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzZipfSampler -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/cluster
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/tracec
 

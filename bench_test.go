@@ -85,7 +85,7 @@ func BenchmarkSimulateRMMLite(b *testing.B) { benchSimulate(b, "omnetpp", xlate.
 // segment's full validation gate (Stat) plus block-at-a-time varint
 // decode. The committed BENCH_<date>.json carries both, so the compile-
 // once-replay-many speedup is pinned in the perf baseline (DESIGN.md
-// §15 records the required ≥5× ratio).
+// §15 records the measured ratio).
 
 // traceBenchOptions is the shared stream configuration for the pair.
 func traceBenchOptions(b *testing.B) (workloads.Spec, workloads.BuildOptions, uint64) {

@@ -102,7 +102,7 @@ const chunkPages = 512
 type zipf struct {
 	w     Window
 	rng   *rand.Rand
-	z     *rand.Zipf
+	z     *zipfSampler
 	pages uint64
 	// Two-level permutation: consecutive ranks stay inside the same
 	// 2 MB chunk (inner permutation) and consecutive chunks of ranks
@@ -121,6 +121,13 @@ type zipf struct {
 // distribution with exponent s > 1 over the window's 4 KB pages, with a
 // uniformly random offset within the page. This is the workhorse for
 // modeling working sets with skewed reuse (astar, omnetpp, xalancbmk).
+//
+// Ranks come from zipfSampler, which returns exactly the ranks
+// math/rand's Zipf would on the same generator, so streams are
+// unchanged. It answers most draws from a 1024-bucket guide table
+// instead of an exp and a log per draw. Each bucket is classified on
+// its first visit, from the bucket edges widened by a 1e-9 relative
+// guard (see zipf.go).
 func Zipf(w Window, s float64, seed int64) Stream {
 	w.validate()
 	if s <= 1 {
@@ -128,7 +135,7 @@ func Zipf(w Window, s float64, seed int64) Stream {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	pages := w.Pages()
-	z := rand.NewZipf(rng, s, 1, pages-1)
+	z := newZipfSampler(rng, s, 1, pages-1)
 	nChunks := (pages + chunkPages - 1) / chunkPages
 	// Cap the chunk permutation (1M chunks = 2 TB windows); beyond the
 	// cap chunks alias, which only affects cold-tail placement.
@@ -150,10 +157,20 @@ func Zipf(w Window, s float64, seed int64) Stream {
 }
 
 func (z *zipf) NextVA() addr.VA {
-	rank := z.z.Uint64()
-	chunk := uint64(z.chunkPerm[(rank/chunkPages)%uint64(len(z.chunkPerm))])
+	rank := z.z.next()
+	// Each reduction is taken only when it can change the result: the
+	// chunk index wraps only past the chunk-permutation cap, and the
+	// page only in the window's partial last chunk.
+	c := rank / chunkPages
+	if c >= uint64(len(z.chunkPerm)) {
+		c %= uint64(len(z.chunkPerm))
+	}
+	chunk := uint64(z.chunkPerm[c])
 	inner := uint64(z.innerPerm[rank%chunkPages])
-	page := (chunk*chunkPages + inner) % z.pages
+	page := chunk*chunkPages + inner
+	if page >= z.pages {
+		page %= z.pages
+	}
 	off := page<<addr.Shift4K + uint64(z.rng.Int63n(addr.Bytes4K))
 	if off >= z.w.Size {
 		off %= z.w.Size
@@ -164,6 +181,7 @@ func (z *zipf) NextVA() addr.VA {
 type chase struct {
 	w     Window
 	pages uint64
+	mask  uint64 // LCG modulus minus one
 	cur   uint64
 	a, c  uint64
 	rng   *rand.Rand
@@ -186,16 +204,12 @@ func Chase(w Window, seed int64) Stream {
 	}
 	a := (uint64(rng.Int63())/4)*4 + 1
 	c := uint64(rng.Int63()) | 1
-	return &chase{w: w, pages: pages, cur: uint64(rng.Int63()) % pages, a: a % mod, c: c % mod, rng: rng}
+	return &chase{w: w, pages: pages, mask: mod - 1, cur: uint64(rng.Int63()) % pages, a: a % mod, c: c % mod, rng: rng}
 }
 
 func (ch *chase) NextVA() addr.VA {
-	mod := uint64(1)
-	for mod < ch.pages {
-		mod <<= 1
-	}
 	for {
-		ch.cur = (ch.a*ch.cur + ch.c) & (mod - 1)
+		ch.cur = (ch.a*ch.cur + ch.c) & ch.mask
 		if ch.cur < ch.pages {
 			break
 		}
