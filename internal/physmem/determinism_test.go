@@ -10,7 +10,8 @@ import (
 // TestAllocDeterministic pins the buddy allocator's placement policy:
 // two allocators driven by the same operation sequence must hand out
 // identical addresses. Alloc picks the lowest-base free block of the
-// chosen order, so placement never depends on map iteration order.
+// chosen order, so placement is a pure function of the operation
+// sequence.
 func TestAllocDeterministic(t *testing.T) {
 	run := func() []addr.PA {
 		a := New(1 << 16)

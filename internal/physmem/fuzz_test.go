@@ -1,49 +1,34 @@
 package physmem
 
-import (
-	"testing"
+import "testing"
 
-	"xlate/internal/addr"
-)
-
-// FuzzAllocator drives the buddy allocator with an op stream decoded
-// from fuzz bytes: allocations of varying order interleaved with frees,
-// checking the structural invariants after every step.
+// FuzzAllocator drives the buddy allocator and the map-based reference
+// (oracle_test.go) with an op stream decoded from fuzz bytes, three
+// bytes per op: a selector and a 16-bit argument for oraclePair.step.
+// Every returned address, error class and counter must match the
+// reference, the structural invariants must hold, and freeing every
+// live block must leave nothing allocated.
 func FuzzAllocator(f *testing.F) {
 	f.Add([]byte{0x01, 0x85, 0x03, 0x80, 0x09})
 	f.Add([]byte{0xff, 0x00, 0x10, 0x90})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 256 {
-			ops = ops[:256]
+		if len(ops) > 768 {
+			ops = ops[:768]
 		}
-		a := New(1 << 12) // 16 MB of frames
-		var live []addr.PA
-		for _, op := range ops {
-			if op&0x80 != 0 && len(live) > 0 {
-				i := int(op&0x7f) % len(live)
-				if err := a.Free(live[i]); err != nil {
-					t.Fatalf("free of live block failed: %v", err)
-				}
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			} else {
-				pa, err := a.Alloc(int(op) % 10)
-				if err != nil {
-					continue // legitimately out of memory
-				}
-				live = append(live, pa)
-			}
+		p := newOraclePair(t, 1<<12) // 16 MB of frames
+		for i := 0; i+2 < len(ops); i += 3 {
+			p.step(uint32(ops[i]), uint32(ops[i+1])|uint32(ops[i+2])<<8)
 		}
-		if err := a.CheckInvariants(); err != nil {
+		if err := p.a.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		for _, pa := range live {
-			if err := a.Free(pa); err != nil {
+		for len(p.live) > 0 {
+			if err := p.free(p.live[len(p.live)-1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if a.Allocated() != 0 {
-			t.Fatalf("leak: %d frames", a.Allocated())
+		if p.a.Allocated() != 0 {
+			t.Fatalf("leak: %d frames", p.a.Allocated())
 		}
 	})
 }

@@ -16,9 +16,11 @@
 package physmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"xlate/internal/addr"
 )
@@ -38,37 +40,36 @@ var ErrOutOfMemory = errors.New("physmem: out of memory")
 // [0, frames). The zero value is not usable; use New.
 type Allocator struct {
 	frames uint64
-	// free[k] holds the set of free block base frames of order k.
-	// A map doubles as membership test for O(1) buddy coalescing.
-	free [MaxOrder + 1]map[uint64]struct{}
-	// orderOf records the order of every allocated block, keyed by base
-	// frame, so Free does not need the caller to remember sizes.
-	orderOf map[uint64]int
+	// free[k] holds the base frames of the free order-k blocks in
+	// descending order, so the lowest base — the one Alloc hands out —
+	// is the last element and buddies are found by binary search.
+	free [MaxOrder + 1][]uint64
+	// orders records the order of every allocated block by base frame,
+	// so Free does not need the caller to remember sizes.
+	orders orderTable
 
 	allocated uint64 // frames currently allocated
 	peak      uint64 // high-water mark of allocated frames
 }
 
 // New returns an allocator managing the given number of 4 KB frames.
-// The frame count is rounded down to a multiple of the largest block
-// that fits, and the whole range is seeded as free blocks.
+// The whole range is seeded as free blocks: maximal naturally aligned
+// blocks greedily from frame 0, so a count that is not a power of two
+// leaves a tail of successively smaller blocks.
 func New(frames uint64) *Allocator {
-	a := &Allocator{frames: frames, orderOf: make(map[uint64]int)}
-	for k := range a.free {
-		a.free[k] = make(map[uint64]struct{})
-	}
-	// Seed maximal aligned free blocks greedily from frame 0.
+	a := &Allocator{frames: frames}
+	// Bases rise, so each list is built ascending and reversed once.
 	base := uint64(0)
 	for base < frames {
 		k := MaxOrder
 		for k > 0 && (base&blockMask(k) != 0 || base+blockFrames(k) > frames) {
 			k--
 		}
-		if base+blockFrames(k) > frames {
-			break // trailing fragment smaller than one frame cannot happen; k=0 fits
-		}
-		a.free[k][base] = struct{}{}
+		a.free[k] = append(a.free[k], base)
 		base += blockFrames(k)
+	}
+	for _, list := range a.free {
+		slices.Reverse(list)
 	}
 	return a
 }
@@ -91,7 +92,9 @@ func OrderForBytes(bytes uint64) int {
 
 // Alloc allocates one naturally aligned block of 2^order frames and
 // returns its base physical address. It fails if no block of that order
-// or larger is free.
+// or larger is free. The block is always the lowest-based free block of
+// the smallest order that fits, so placement is a pure function of the
+// operation sequence.
 func (a *Allocator) Alloc(order int) (addr.PA, error) {
 	if order < 0 || order > MaxOrder {
 		return 0, fmt.Errorf("physmem: invalid order %d", order)
@@ -104,23 +107,16 @@ func (a *Allocator) Alloc(order int) (addr.PA, error) {
 		return 0, fmt.Errorf("%w for order-%d block (%d frames allocated of %d)",
 			ErrOutOfMemory, order, a.allocated, a.frames)
 	}
-	// Pick the lowest-based free block of the order. Taking an arbitrary
-	// map key here would make frame placement — and therefore physical
-	// contiguity, range-table contents and energy totals — depend on
-	// Go's randomized map iteration order.
-	base := ^uint64(0)
-	for b := range a.free[k] { //eeatlint:allow determinism min-reduction over the free set is iteration-order-insensitive
-		if b < base {
-			base = b
-		}
-	}
-	delete(a.free[k], base)
-	// Split down to the requested order, freeing the upper buddies.
+	list := a.free[k]
+	base := list[len(list)-1]
+	a.free[k] = list[:len(list)-1]
+	// Split down to the requested order, freeing the upper buddies. Every
+	// order in [order, k) was empty, so each push keeps its list sorted.
 	for k > order {
 		k--
-		a.free[k][base+blockFrames(k)] = struct{}{}
+		a.free[k] = append(a.free[k], base+blockFrames(k))
 	}
-	a.orderOf[base] = order
+	a.orders.set(base, order)
 	a.allocated += blockFrames(order)
 	if a.allocated > a.peak {
 		a.peak = a.allocated
@@ -132,25 +128,69 @@ func (a *Allocator) Alloc(order int) (addr.PA, error) {
 // free buddies as far as possible.
 func (a *Allocator) Free(pa addr.PA) error {
 	base := uint64(pa) >> FrameShift
-	order, ok := a.orderOf[base]
-	if !ok {
+	order := -1
+	if addr.IsAligned(uint64(pa), addr.Bytes4K) && base < a.frames {
+		order = a.orders.get(base)
+	}
+	if order < 0 {
 		return fmt.Errorf("physmem: free of unallocated block at %#x", uint64(pa))
 	}
-	delete(a.orderOf, base)
+	a.orders.clear(base)
 	a.allocated -= blockFrames(order)
 	for order < MaxOrder {
 		buddy := base ^ blockFrames(order)
-		if _, free := a.free[order][buddy]; !free {
+		i, found := slices.BinarySearchFunc(a.free[order], buddy, descending)
+		if !found {
 			break
 		}
-		delete(a.free[order], buddy)
-		if buddy < base {
-			base = buddy
-		}
+		a.free[order] = slices.Delete(a.free[order], i, i+1)
+		base &^= blockFrames(order)
 		order++
 	}
-	a.free[order][base] = struct{}{}
+	i, _ := slices.BinarySearchFunc(a.free[order], base, descending)
+	a.free[order] = slices.Insert(a.free[order], i, base)
 	return nil
+}
+
+// descending orders a free list for slices.BinarySearchFunc: highest
+// base first.
+func descending(base, target uint64) int { return cmp.Compare(target, base) }
+
+// orderPageShift sizes one order-table page: 2^9 = 512 frames (2 MB).
+const orderPageShift = 9
+
+// orderTable maps allocated block base frames to block orders. It is a
+// sparse two-level array: pages of 512 entries, each holding order+1 (0
+// for "no block starts here"), allocated on first use and indexed by
+// frame>>9. Alloc hands out the lowest free bases first, so the pages
+// in use cluster at the bottom of the frame range and the directory
+// stays short; a flat per-frame array would cost 1 MB per 4 GB managed.
+type orderTable struct {
+	pages []*[1 << orderPageShift]int8
+}
+
+// get returns the order of the block based at frame, or -1.
+func (t *orderTable) get(frame uint64) int {
+	i := frame >> orderPageShift
+	if i >= uint64(len(t.pages)) || t.pages[i] == nil {
+		return -1
+	}
+	return int(t.pages[i][frame&blockMask(orderPageShift)]) - 1
+}
+
+func (t *orderTable) set(frame uint64, order int) {
+	i := frame >> orderPageShift
+	if i >= uint64(len(t.pages)) {
+		t.pages = append(t.pages, make([]*[1 << orderPageShift]int8, i+1-uint64(len(t.pages)))...)
+	}
+	if t.pages[i] == nil {
+		t.pages[i] = new([1 << orderPageShift]int8)
+	}
+	t.pages[i][frame&blockMask(orderPageShift)] = int8(order + 1)
+}
+
+func (t *orderTable) clear(frame uint64) {
+	t.pages[frame>>orderPageShift][frame&blockMask(orderPageShift)] = 0
 }
 
 // Frames returns the total number of frames managed.
@@ -177,38 +217,53 @@ func (a *Allocator) LargestFreeOrder() int {
 	return -1
 }
 
-// CheckInvariants validates internal consistency: free blocks are
-// aligned, in range, non-overlapping with each other, and the free +
-// allocated frame counts add up. Intended for tests.
+// CheckInvariants validates internal consistency: free lists are
+// strictly descending, every block is aligned and in range, no two
+// blocks overlap, and the free + allocated frame counts add up.
+// Intended for tests.
 func (a *Allocator) CheckInvariants() error {
-	seen := make(map[uint64]int) // frame -> owner count
-	var freeFrames uint64
-	for k, set := range a.free {
-		for base := range set { //eeatlint:allow determinism validation scan; any violation is reported regardless of visit order
-			if base&blockMask(k) != 0 {
-				return fmt.Errorf("free block %#x order %d misaligned", base, k)
+	type block struct {
+		base  uint64
+		order int
+		free  bool
+	}
+	var blocks []block
+	for k, list := range a.free {
+		for i, base := range list {
+			if i > 0 && list[i-1] <= base {
+				return fmt.Errorf("free list of order %d not strictly descending at %#x", k, base)
 			}
-			if base+blockFrames(k) > a.frames {
-				return fmt.Errorf("free block %#x order %d out of range", base, k)
-			}
-			for f := base; f < base+blockFrames(k); f++ {
-				seen[f]++
-				if seen[f] > 1 {
-					return fmt.Errorf("frame %#x covered twice", f)
-				}
-			}
-			freeFrames += blockFrames(k)
+			blocks = append(blocks, block{base, k, true})
 		}
 	}
-	var allocFrames uint64
-	for base, k := range a.orderOf { //eeatlint:allow determinism validation scan; any violation is reported regardless of visit order
-		for f := base; f < base+blockFrames(k); f++ {
-			seen[f]++
-			if seen[f] > 1 {
-				return fmt.Errorf("allocated frame %#x also free", f)
+	for i, page := range a.orders.pages {
+		if page == nil {
+			continue
+		}
+		for j, v := range page {
+			if v != 0 {
+				blocks = append(blocks, block{uint64(i)<<orderPageShift | uint64(j), int(v) - 1, false})
 			}
 		}
-		allocFrames += blockFrames(k)
+	}
+	slices.SortFunc(blocks, func(x, y block) int { return cmp.Compare(x.base, y.base) })
+	var freeFrames, allocFrames, next uint64
+	for _, b := range blocks {
+		if b.base&blockMask(b.order) != 0 {
+			return fmt.Errorf("block %#x order %d misaligned", b.base, b.order)
+		}
+		if b.base+blockFrames(b.order) > a.frames {
+			return fmt.Errorf("block %#x order %d out of range", b.base, b.order)
+		}
+		if b.base < next {
+			return fmt.Errorf("block %#x order %d overlaps the block before it", b.base, b.order)
+		}
+		next = b.base + blockFrames(b.order)
+		if b.free {
+			freeFrames += blockFrames(b.order)
+		} else {
+			allocFrames += blockFrames(b.order)
+		}
 	}
 	if allocFrames != a.allocated {
 		return fmt.Errorf("allocated count %d != sum of blocks %d", a.allocated, allocFrames)

@@ -213,9 +213,7 @@ func (as *AddressSpace) populateEager(reg Region) error {
 			as.stats.RangesMade++
 			as.stats.RangedBytes += chunk
 		}
-		if err := as.mapChunkPaged(va, chunk, func(off uint64) (addr.PA, error) {
-			return pa + addr.PA(off), nil
-		}); err != nil {
+		if err := as.mapChunkPaged(va, chunk, true, pa); err != nil {
 			return err
 		}
 		as.blocks[reg.Base] = append(as.blocks[reg.Base], pa)
@@ -228,76 +226,55 @@ func (as *AddressSpace) populateEager(reg Region) error {
 // populatePaged backs the region page by page (with THP promotion when
 // the policy allows), using independently allocated frames.
 func (as *AddressSpace) populatePaged(reg Region) error {
-	return as.mapChunkPaged(reg.Base, reg.Size, func(uint64) (addr.PA, error) {
-		return 0, errAllocate
-	})
+	return as.mapChunkPaged(reg.Base, reg.Size, false, 0)
 }
 
-// errAllocate signals mapChunkPaged to allocate frames itself.
-var errAllocate = fmt.Errorf("vm: allocate sentinel")
-
-// mapChunkPaged installs page mappings for [va, va+bytes). paAt returns
-// the physical address for a given offset within the chunk when the
-// backing is pre-allocated contiguously (eager paging); returning
-// errAllocate makes this function allocate frames from the buddy
-// allocator instead. THP policy applies in both cases.
-func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, paAt func(off uint64) (addr.PA, error)) error {
-	regionBase := va
-	end := va + addr.VA(bytes)
+// mapChunkPaged installs page mappings for [va, va+bytes) under the THP
+// and gigabyte-page policy. When prebacked is set the chunk is already
+// backed contiguously from physical address base (eager paging) and each
+// page maps at its offset from base; otherwise every page gets its own
+// block from the buddy allocator, and the blocks — including any
+// allocated before an error — are recorded once as owned by the chunk
+// starting at va.
+func (as *AddressSpace) mapChunkPaged(va addr.VA, bytes uint64, prebacked bool, base addr.PA) error {
+	regionBase, end := va, va+addr.VA(bytes)
+	owned := as.blocks[regionBase]
+	had := len(owned)
+	defer func() {
+		if len(owned) > had {
+			as.blocks[regionBase] = owned
+		}
+	}()
 	for va < end {
 		left := uint64(end - va)
-		if as.policy.GBPages && addr.IsAligned(uint64(va), addr.Bytes1G) && left >= addr.Bytes1G {
-			pa, err := paAt(uint64(va - regionBase))
-			if err == errAllocate {
-				pa, err = as.phys.Alloc(18) // 1 GB block
-				if err != nil {
-					return fmt.Errorf("vm: gigabyte page allocation: %w", err)
-				}
-				as.blocks[regionBase] = append(as.blocks[regionBase], pa)
-			} else if err != nil {
-				return err
+		size, order, what := addr.Page4K, 0, "page"
+		switch {
+		case as.policy.GBPages && addr.IsAligned(uint64(va), addr.Bytes1G) && left >= addr.Bytes1G:
+			size, order, what = addr.Page1G, 18, "gigabyte page"
+		case as.policy.THP && addr.IsAligned(uint64(va), addr.Bytes2M) && left >= addr.Bytes2M &&
+			as.rng.Float64() < as.curCoverage:
+			size, order, what = addr.Page2M, 9, "huge page"
+		}
+		pa := base + addr.PA(va-regionBase)
+		if !prebacked {
+			var err error
+			if pa, err = as.phys.Alloc(order); err != nil {
+				return fmt.Errorf("vm: %s allocation: %w", what, err)
 			}
-			if err := as.pt.Map(va, addr.Page1G, pa); err != nil {
-				return err
-			}
+			owned = append(owned, pa)
+		}
+		if err := as.pt.Map(va, size, pa); err != nil {
+			return err
+		}
+		switch size {
+		case addr.Page1G:
 			as.stats.Bytes1G += addr.Bytes1G
-			va += addr.VA(addr.Bytes1G)
-			continue
-		}
-		if as.policy.THP && addr.IsAligned(uint64(va), addr.Bytes2M) && left >= addr.Bytes2M &&
-			as.rng.Float64() < as.curCoverage {
-			pa, err := paAt(uint64(va - regionBase))
-			if err == errAllocate {
-				pa, err = as.phys.Alloc(9) // 2 MB block
-				if err != nil {
-					return fmt.Errorf("vm: huge page allocation: %w", err)
-				}
-				as.blocks[regionBase] = append(as.blocks[regionBase], pa)
-			} else if err != nil {
-				return err
-			}
-			if err := as.pt.Map(va, addr.Page2M, pa); err != nil {
-				return err
-			}
+		case addr.Page2M:
 			as.stats.Bytes2M += addr.Bytes2M
-			va += addr.VA(addr.Bytes2M)
-			continue
+		default:
+			as.stats.Bytes4K += addr.Bytes4K
 		}
-		pa, err := paAt(uint64(va - regionBase))
-		if err == errAllocate {
-			pa, err = as.phys.Alloc(0)
-			if err != nil {
-				return fmt.Errorf("vm: page allocation: %w", err)
-			}
-			as.blocks[regionBase] = append(as.blocks[regionBase], pa)
-		} else if err != nil {
-			return err
-		}
-		if err := as.pt.Map(va, addr.Page4K, pa); err != nil {
-			return err
-		}
-		as.stats.Bytes4K += addr.Bytes4K
-		va += addr.VA(addr.Bytes4K)
+		va += addr.VA(size.Bytes())
 	}
 	return nil
 }
@@ -406,16 +383,12 @@ func (as *AddressSpace) EnsureMapped(va addr.VA) (bool, error) {
 		as.stats.RangesMade++
 		as.stats.RangedBytes += addr.Bytes2M
 		as.blocks[base] = append(as.blocks[base], pa)
-		if err := as.mapChunkPaged(base, addr.Bytes2M, func(off uint64) (addr.PA, error) {
-			return pa + addr.PA(off), nil
-		}); err != nil {
+		if err := as.mapChunkPaged(base, addr.Bytes2M, true, pa); err != nil {
 			return false, err
 		}
 		return true, nil
 	}
-	if err := as.mapChunkPaged(base, addr.Bytes2M, func(uint64) (addr.PA, error) {
-		return 0, errAllocate
-	}); err != nil {
+	if err := as.mapChunkPaged(base, addr.Bytes2M, false, 0); err != nil {
 		return false, err
 	}
 	return true, nil

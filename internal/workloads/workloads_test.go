@@ -231,3 +231,22 @@ func TestAllConfigsAllIntensiveWorkloadsSmoke(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild times the input layer fig2 pays before any reference:
+// Spec.Build for every TLB-intensive workload under the 4KB, THP and RMM
+// policies at scale 0.1, the suite's 24 address spaces.
+func BenchmarkBuild(b *testing.B) {
+	kinds := []core.ConfigKind{core.Cfg4KB, core.CfgTHP, core.CfgRMM}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range workloads.TLBIntensive() {
+			for _, k := range kinds {
+				opt := workloads.BuildOptions{Policy: core.PolicyFor(k, 0.5), Seed: 7, Scale: 0.1}
+				if _, _, err := s.Build(opt); err != nil {
+					b.Fatalf("%s under %v: %v", s.Name, k, err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/suite")
+}
