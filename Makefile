@@ -30,7 +30,7 @@ SERVICE_JOB = {"experiment":"fig2","instrs":400000,"scale":0.1,"seed":7}
 CLUSTER_FLAGS = -exp fig2 -instrs 400000 -scale 0.1 -seed 7
 CLUSTER_GOLDEN = testdata/cluster/fig2.golden
 
-.PHONY: check build vet lint test race bench bench-json loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke
+.PHONY: check build vet lint test race bench loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke
 
 check: build vet lint test race
 
@@ -61,21 +61,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every micro-bench in the module. End-to-end performance
+# is measured by perfbench (`bash perfbench/run.sh`, DESIGN.md §13).
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$
-
-# Perf trajectory (DESIGN.md §13): run the root benchmark suite once
-# and commit the machine-readable baseline. BENCH_<date>.json records
-# ns/op per artifact bench and ns/access + accesses/sec for the
-# simulator-throughput benches; CI validates the committed file on
-# every push, so the repo always carries a parseable perf baseline.
-BENCH_DATE = $(shell date +%F)
-bench-json:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ . > bench-raw.txt
-	$(GO) run ./cmd/benchjson -date $(BENCH_DATE) -in bench-raw.txt -out BENCH_$(BENCH_DATE).json
-	$(GO) run ./cmd/benchjson -validate BENCH_$(BENCH_DATE).json
-	rm -f bench-raw.txt
-	@echo "bench-json: baseline written to BENCH_$(BENCH_DATE).json"
+	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Measured load run (DESIGN.md §13): the reduced fig2 suite across 3
 # loopback workers with the load report enabled. The report must agree

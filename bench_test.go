@@ -1,91 +1,24 @@
-// Benchmarks: one testing.B target per paper table and figure, each
-// regenerating the corresponding artifact through the experiment harness
-// (scaled down so `go test -bench=.` completes in minutes; run
-// cmd/experiments for the full-scale numbers recorded in
-// EXPERIMENTS.md), plus micro-benchmarks of the hot simulator paths.
+// Micro-benchmarks of the workload compiler (internal/tracec): live
+// synthesis vs replay of the same reference stream. The simulator
+// layer's benches are BenchmarkAccess* in internal/core; end-to-end
+// suite, replay and service throughput is measured by perfbench
+// (perfbench/README.md), the repo's one benchmark.
 package xlate_test
 
 import (
 	"testing"
 
-	"xlate"
 	"xlate/internal/core"
 	"xlate/internal/tracec"
 	"xlate/internal/workloads"
 )
 
-// benchOpt scales the artifact benches: one fifth of the footprints and
-// a 1 M-instruction budget exercise every code path of each experiment.
-var benchOpt = xlate.ExperimentOptions{Instrs: 1_000_000, Scale: 0.2, Seed: 42}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tables, err := xlate.RunExperiment(id, benchOpt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatalf("%s produced no tables", id)
-		}
-	}
-}
-
-// --- Paper artifacts (see DESIGN.md §3 for the experiment index) ---
-
-func BenchmarkTable1Config(b *testing.B)    { benchExperiment(b, "table1") }
-func BenchmarkTable2Energies(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkTable3Model(b *testing.B)     { benchExperiment(b, "table3") }
-func BenchmarkTable4Workloads(b *testing.B) { benchExperiment(b, "table4") }
-
-func BenchmarkFig2Characterization(b *testing.B) { benchExperiment(b, "fig2") }
-func BenchmarkFig3WalkLocality(b *testing.B)     { benchExperiment(b, "fig3") }
-func BenchmarkFig4Downsizing(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFig10Main(b *testing.B)            { benchExperiment(b, "fig10") }
-func BenchmarkFig11MPKI(b *testing.B)            { benchExperiment(b, "fig11") }
-func BenchmarkFig12OtherWorkloads(b *testing.B)  { benchExperiment(b, "fig12") }
-func BenchmarkTable5ActiveWays(b *testing.B)     { benchExperiment(b, "table5") }
-
-func BenchmarkSensitivityIntervalProb(b *testing.B) { benchExperiment(b, "sens-interval") }
-func BenchmarkSensitivityThreshold(b *testing.B)    { benchExperiment(b, "sens-threshold") }
-func BenchmarkSensitivityL1RangeSize(b *testing.B)  { benchExperiment(b, "sens-l1range") }
-func BenchmarkAblationLite(b *testing.B)            { benchExperiment(b, "abl-lite") }
-func BenchmarkStaticEnergy(b *testing.B)            { benchExperiment(b, "static") }
-func BenchmarkExtensionPredictor(b *testing.B)      { benchExperiment(b, "ext-predictor") }
-
-// --- Simulator throughput (references simulated per second) ---
-
-func benchSimulate(b *testing.B, name string, cfg xlate.Config) {
-	b.Helper()
-	w, err := xlate.WorkloadByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := xlate.RunParams(w, xlate.DefaultParams(cfg), 1_000_000,
-			xlate.RunOptions{Scale: 0.2, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.MemRefs), "refs/op")
-	}
-}
-
-func BenchmarkSimulate4KB(b *testing.B)     { benchSimulate(b, "omnetpp", xlate.Cfg4KB) }
-func BenchmarkSimulateTHP(b *testing.B)     { benchSimulate(b, "omnetpp", xlate.CfgTHP) }
-func BenchmarkSimulateTLBLite(b *testing.B) { benchSimulate(b, "omnetpp", xlate.CfgTLBLite) }
-func BenchmarkSimulateRMMLite(b *testing.B) { benchSimulate(b, "omnetpp", xlate.CfgRMMLite) }
-
-// --- Workload compiler (internal/tracec): live synthesis vs replay ---
-
 // The replay-vs-live pair measures producing the identical reference
 // stream both ways: live synthesis pays the address-space build plus
 // the generator's per-reference RNG/permutation work; replay pays the
 // segment's full validation gate (Stat) plus block-at-a-time varint
-// decode. The committed BENCH_<date>.json carries both, so the compile-
-// once-replay-many speedup is pinned in the perf baseline (DESIGN.md
-// §15 records the measured ratio).
+// decode. DESIGN.md §15 records the measured compile-once-replay-many
+// ratio.
 
 // traceBenchOptions is the shared stream configuration for the pair.
 func traceBenchOptions(b *testing.B) (workloads.Spec, workloads.BuildOptions, uint64) {

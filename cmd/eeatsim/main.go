@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -119,8 +120,8 @@ func run(ctx context.Context, out *os.File) error {
 	// server-side, so repeated invocations hit the daemon's
 	// content-addressed cache instead of re-simulating.
 	if *remote != "" {
-		if *record != "" || *replay != "" || *auditOn || *injectSpec != "" {
-			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject: %w", errUsage)
+		if *record != "" || *replay != "" || *auditOn || *injectSpec != "" || *compileTraces || *traceStore != "" {
+			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject/-compile-traces/-trace-store: %w", errUsage)
 		}
 		c := client.New(*remote)
 		cr, _, err := c.RunCell(ctx, service.SubmitRequest{
@@ -220,7 +221,11 @@ func run(ctx context.Context, out *os.File) error {
 		}
 	}
 
-	source := fmt.Sprintf("%s (%d MB footprint)", w.Name, w.FootprintBytes()>>20)
+	footprint := w.FootprintBytes()
+	if *scale > 0 {
+		footprint = uint64(float64(footprint) * *scale)
+	}
+	source := fmt.Sprintf("%s (%d MB footprint)", w.Name, footprint>>20)
 	if *replay != "" {
 		source = "trace " + *replay
 	}
@@ -230,7 +235,7 @@ func run(ctx context.Context, out *os.File) error {
 
 // printResult renders the counter and energy report for one simulation
 // result, local or fetched from a daemon.
-func printResult(out *os.File, res xlate.Result, source string, auditOn bool) {
+func printResult(out io.Writer, res xlate.Result, source string, auditOn bool) {
 	fmt.Fprintf(out, "%s on %s, %d instructions\n", res.Config, source, res.Instructions)
 	fmt.Fprintf(out, "  memory references    %12d\n", res.MemRefs)
 	fmt.Fprintf(out, "  L1 TLB misses        %12d  (%.3f MPKI)\n", res.L1Misses, res.L1MPKI())
@@ -238,10 +243,12 @@ func printResult(out *os.File, res xlate.Result, source string, auditOn bool) {
 	fmt.Fprintf(out, "  page-walk mem refs   %12d\n", res.WalkRefs)
 	fmt.Fprintf(out, "  TLB-miss cycles      %12d  (%.2f%% of total)\n",
 		res.CyclesTLBMiss, 100*res.MissCycleFraction())
-	fmt.Fprintf(out, "  L1 hit attribution   4KB %.1f%%  2MB %.1f%%  range %.1f%%\n",
-		100*float64(res.Hits4K)/float64(res.L1Hits()),
-		100*float64(res.Hits2M)/float64(res.L1Hits()),
-		100*float64(res.HitsRange)/float64(res.L1Hits()))
+	if hits := float64(res.L1Hits()); hits > 0 {
+		fmt.Fprintf(out, "  L1 hit attribution   4KB %.1f%%  2MB %.1f%%  range %.1f%%\n",
+			100*float64(res.Hits4K)/hits, 100*float64(res.Hits2M)/hits, 100*float64(res.HitsRange)/hits)
+	} else {
+		fmt.Fprintln(out, "  L1 hit attribution   no L1 TLB hits")
+	}
 	fmt.Fprintf(out, "  dynamic energy       %12.1f µJ  (%.3f pJ/ref)\n",
 		res.EnergyPJ()/1e6, res.EnergyPerRefPJ())
 	fmt.Fprintln(out, "  breakdown:")
