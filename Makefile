@@ -107,8 +107,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzAllocator -fuzztime=10s ./internal/physmem
 	$(GO) test -fuzz=FuzzReadTrace -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzZipfSampler -fuzztime=10s ./internal/trace
-	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/service/cluster
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/harness
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/tracec
+	$(GO) test -fuzz=FuzzSimulateTrace -fuzztime=10s ./internal/tracec
 
 # Observability run (DESIGN.md §8): a reduced-scale experiment with
 # tracing, progress, and the status endpoint enabled must render

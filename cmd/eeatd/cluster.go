@@ -37,8 +37,6 @@ type clusterOpts struct {
 	loadOut    string
 	hbTimeout  time.Duration
 	hbEvery    time.Duration
-	checkpoint string
-	resume     bool
 	journal    string
 	soak       int
 	golden     string
@@ -142,8 +140,6 @@ func runDevCluster(o clusterOpts) int {
 		HeartbeatEvery:   o.hbEvery,
 		Retry:            client.Backoff{Seed: o.seed},
 		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
-		Checkpoint:       o.checkpoint,
-		Resume:           o.resume,
 		Journal:          o.journal,
 		Chaos:            dirs,
 		TraceDir:         o.traceDir,
@@ -280,8 +276,6 @@ func runCoordinator(o clusterOpts) int {
 		HeartbeatTimeout: o.hbTimeout,
 		Retry:            client.Backoff{Seed: o.seed},
 		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
-		Checkpoint:       o.checkpoint,
-		Resume:           o.resume,
 		Journal:          o.journal,
 		Traces:           traces,
 		Registry:         sess.Registry,

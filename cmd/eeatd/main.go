@@ -30,8 +30,14 @@
 //	                                       # loopback dev cluster, report on stdout
 //	eeatd -cluster 3 -exp fig2 -chaos kill:1@10
 //	                                       # same, killing worker 1 mid-run
-//	eeatd -coordinator -addr :7000 -exp fig2 -min-workers 2
+//	eeatd -coordinator -addr :7000 -exp fig2 -min-workers 2 -journal coord.journal
+//	                                       # a restarted coordinator replays the journal and resumes
 //	eeatd -addr :9001 -worker http://coord:7000
+//
+// The coordinator's -journal is its only durable state (DESIGN.md §12):
+// every completed cell and membership change is appended and fsync'd
+// as it commits, and a coordinator started on an existing journal
+// resumes from it without a flag.
 package main
 
 import (
@@ -85,8 +91,6 @@ func run() int {
 		metricOut = flag.String("metrics-out", "", "cluster/coordinator: dump /metrics to this file after the run")
 		hbTimeout = flag.Duration("hb-timeout", 5*time.Second, "declare a worker dead after this long without a heartbeat")
 		hbEvery   = flag.Duration("hb-every", 0, "worker heartbeat period (default hb-timeout/4)")
-		clusterCk = flag.String("cluster-checkpoint", "", "coordinator-side harness checkpoint journal")
-		resume    = flag.Bool("resume", false, "resume the coordinator checkpoint journal")
 		journal   = flag.String("journal", "", "cluster/coordinator: crash journal; a restarted coordinator replays it and resumes automatically (DESIGN.md §12)")
 		soakN     = flag.Int("soak", 0, "cluster dev mode: run N concurrent identical suites through one coordinator (chaos soak)")
 		golden    = flag.String("golden", "", "soak: report file every suite must match byte-for-byte (default: suites compared to each other)")
@@ -123,7 +127,6 @@ func run() int {
 			instrs: *instrs, scale: *scale, seed: *seed,
 			chaos: *chaos, metricsOut: *metricOut, loadOut: *loadOut,
 			hbTimeout: *hbTimeout, hbEvery: *hbEvery,
-			checkpoint: *clusterCk, resume: *resume,
 			journal: *journal, soak: *soakN, golden: *golden,
 			fanout: fanout, minWorkers: *minWk, logf: logf,
 			traceDir: *traceDir, ingest: *ingest,

@@ -2,12 +2,15 @@
 //
 // Experiments decompose into simulation cells (workload × configuration
 // × parameters) that run on a worker pool; identical cells shared by
-// several experiments are simulated once, completed cells are journaled
-// to a checkpoint, and output is byte-identical to a sequential run
-// regardless of -parallel. Ctrl-C cancels in-flight cells after
-// flushing the journal; rerunning with -resume continues where the
-// interrupted run stopped. A cell that panics or times out fails only
-// the experiments that need it — the rest of the suite still renders.
+// several experiments are simulated once, each completed cell is
+// appended to the -checkpoint journal and fsync'd as it finishes, and
+// output is byte-identical to a sequential run regardless of
+// -parallel. Ctrl-C cancels in-flight cells; every completed cell is
+// already on disk, and rerunning with -resume continues where the
+// interrupted run stopped (a torn final line is healed; a journal
+// damaged above a valid record, or written with other options, is
+// refused). A cell that panics or times out fails only the
+// experiments that need it — the rest of the suite still renders.
 //
 // Usage:
 //

@@ -1,7 +1,12 @@
 package exper_test
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,9 +23,22 @@ import (
 // them; the harness runs each shared cell once.
 var claimsOpt = exper.Options{Instrs: 2_000_000, Scale: 0.1, Seed: 42}
 
+// claimsGolden is the committed report of the four figures at
+// claimsOpt: a budget where Lite resizes, so any change to Lite-path
+// numbers shows up as a golden diff. After a deliberate change to the
+// simulated numbers, regenerate it with
+//
+//	go test ./internal/exper -run TestPaperClaims -update-claims
+//
+// and review the diff before committing it.
+var claimsGolden = filepath.Join("..", "..", "testdata", "exper", "claims.golden")
+
+var updateClaims = flag.Bool("update-claims", false, "rewrite "+claimsGolden+" from this run")
+
 // TestPaperClaims checks the paper's conclusions, as EXPERIMENTS.md
-// states them, on reduced-scale runs of Figures 2, 3, 10 and 11. Each
-// failure message is the claim that no longer holds. Two full-scale
+// states them, on reduced-scale runs of Figures 2, 3, 10 and 11, and
+// compares the rendered report byte for byte against claimsGolden. Each
+// claim failure message is the claim that no longer holds. Two full-scale
 // statements are weakened here: RMM's L2 MPKI is not exactly zero
 // (compulsory misses remain in a 2 M-instruction run), and cactusADM's
 // 4KB walk share is below one half.
@@ -39,11 +57,26 @@ func TestPaperClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	figs := map[string][]*stats.Table{}
+	var report bytes.Buffer // cmd/experiments' markdown, timings stripped
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.ID, r.Err)
 		}
 		figs[r.ID] = r.Tables
+		fmt.Fprintf(&report, "## %s\n\n", r.ID)
+		for _, tb := range r.Tables {
+			fmt.Fprintln(&report, tb.Markdown())
+		}
+	}
+	if *updateClaims {
+		if err := os.WriteFile(claimsGolden, report.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if golden, err := os.ReadFile(claimsGolden); err != nil {
+		t.Error(err)
+	} else if !bytes.Equal(report.Bytes(), golden) {
+		t.Errorf("report differs from %s; if the change is deliberate, regenerate it (see claimsGolden):\n--- got ---\n%s", claimsGolden, report.Bytes())
 	}
 	energy := claimTable{t, figs["fig10"][0]} // Figure 10 (top), normalized to 4KB
 	walk := claimTable{t, figs["fig3"][0]}    // Figure 3, normalized to 100%

@@ -1,295 +1,33 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"xlate/internal/core"
-	"xlate/internal/exper"
 )
 
-// The checkpoint is JSONL: a header line binding the journal to the
-// run options, then one line per completed cell. Failed cells are
-// never journaled, so a resumed run retries them. Go's encoding/json
-// emits the shortest float64 representation, which round-trips
-// exactly — resumed results render byte-identical tables.
-//
-// Every append publishes the whole journal via temp-file, fsync, and
-// atomic rename, so the file on disk is always a complete, valid JSONL
-// document: a crash at any instant leaves either the previous journal
-// or the new one, never a torn line. Without that, a truncated trailing
-// line from a crash mid-write would poison -resume — the next run's
-// appends would glue a fresh line onto the partial one, corrupting it
-// and silently dropping every cell journaled after it. A torn tail from
-// a pre-hardening journal (or a filesystem that reordered writes) is
-// healed on open: the valid prefix is kept, the partial line dropped.
+// The suite checkpoint is a journal (journal.go) of completed cells,
+// one {key, result} record per line. Failed cells are never journaled,
+// so a resumed run retries them. Go's encoding/json emits the shortest
+// float64 representation, which round-trips exactly — resumed results
+// render byte-identical tables.
 
-const checkpointVersion = 1
-
-type checkpointHeader struct {
-	Version int     `json:"version"`
-	Instrs  uint64  `json:"instrs"`
-	Scale   float64 `json:"scale"`
-	Seed    int64   `json:"seed"`
+// checkpointFormat is the suite checkpoint's record vocabulary.
+// Version 2 added the header's kind; a version-1 checkpoint is refused
+// with ErrJournalMismatch.
+var checkpointFormat = JournalFormat[checkpointCell]{
+	Kind:    "suite",
+	Version: 2,
+	Check: func(c checkpointCell) error {
+		if c.Key == "" || c.Result == nil {
+			return fmt.Errorf("cell record missing key or result: %w", ErrJournalCorrupt)
+		}
+		return nil
+	},
 }
 
+// checkpointCell is one completed cell: its canonical key and result.
 type checkpointCell struct {
-	Key    string      `json:"key"`
-	Result core.Result `json:"result"`
-}
-
-// journal holds the checkpoint's current valid contents in memory and
-// republishes the whole file atomically on every append. It serializes
-// itself: append is safe to call concurrently, and crucially without
-// the suite lock — publishing fsyncs, and a disk barrier under the
-// lock that gates every worker's result recording would stall the
-// whole pool on one slow device.
-type journal struct {
-	path string
-	mu   sync.Mutex
-	buf  []byte // complete journal contents, every line terminated
-}
-
-// openJournal prepares the checkpoint at path. Without resume the
-// journal starts fresh; with resume it continues an existing journal
-// (loadCheckpoint has already validated its header), keeping only its
-// complete lines so a torn tail cannot corrupt later appends.
-func openJournal(path string, resume bool, opt exper.Options) (*journal, error) {
-	j := &journal{path: path}
-	if resume {
-		prev, err := os.ReadFile(path)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("harness: opening checkpoint: %w", err)
-		}
-		j.buf = ValidLines(prev)
-	}
-	if len(j.buf) == 0 {
-		hdr := checkpointHeader{Version: checkpointVersion, Instrs: opt.Instrs, Scale: opt.Scale, Seed: opt.Seed}
-		b, err := json.Marshal(hdr)
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint encode: %w", err)
-		}
-		j.buf = append(b, '\n')
-	}
-	if err := j.publish(); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// ValidLines returns the prefix of b holding complete, well-formed
-// JSON lines — the longest prefix loadCheckpoint would accept. A torn
-// tail (no newline) or a corrupt line ends the prefix; everything
-// after it is dropped, matching what the loader resumes. Exported for
-// the cluster journal, which validates record shape on top of this
-// syntactic prefix before deciding to heal or refuse.
-func ValidLines(b []byte) []byte {
-	end := 0
-	for off := 0; off < len(b); {
-		i := bytes.IndexByte(b[off:], '\n')
-		if i < 0 {
-			break // torn tail
-		}
-		line := b[off : off+i]
-		if !json.Valid(line) {
-			break
-		}
-		off += i + 1
-		end = off
-	}
-	return b[:end]
-}
-
-// publish writes the buffered journal to a temp file in the same
-// directory, fsyncs it, and renames it over the checkpoint path. The
-// rename is atomic on POSIX filesystems; the directory is synced too so
-// the new name survives a crash right after the rename.
-func (j *journal) publish() error {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if _, err := tmp.Write(j.buf); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %w", err)
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Errors
-// are ignored: some filesystems reject directory fsync, and the rename
-// itself already happened.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync() //nolint:errcheck // best-effort durability of the rename
-	d.Close()
-}
-
-func (j *journal) append(key string, res core.Result) error {
-	b, err := json.Marshal(checkpointCell{Key: key, Result: res})
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint encode: %w", err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.buf = append(j.buf, b...)
-	j.buf = append(j.buf, '\n')
-	//eeatlint:allow locksafe the journal mutex exists to serialize the file write; the fsync is the critical section
-	return j.publish()
-}
-
-func (j *journal) close() {
-	// Nothing is held open between appends; the journal on disk is
-	// already complete and durable.
-}
-
-// StreamJournal is the streaming sibling of the suite checkpoint: an
-// append-only JSONL file where every record is durable the moment
-// Append returns (single write, then fsync). The suite checkpoint
-// republishes its whole file per append because it is small and
-// rewritten rarely; a journal that records every cluster event for the
-// life of a campaign needs O(1) appends instead. The torn-tail
-// discipline is shared: the caller validates the existing contents
-// (ValidLines plus its own record checks) and passes the byte length
-// of the prefix to keep — OpenStream truncates everything after it, so
-// a later append can never glue onto a partial line.
-type StreamJournal struct {
-	path string
-	f    *os.File
-}
-
-// OpenStream opens (creating if needed) the journal at path for
-// durable appends, first truncating it to keep bytes — the caller's
-// validated prefix. The truncation itself is fsynced before the first
-// append so a heal survives a crash too.
-func OpenStream(path string, keep int64) (*StreamJournal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("harness: opening journal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: opening journal: %w", err)
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	if st.Size() > keep {
-		if err := f.Truncate(keep); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: healing journal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: healing journal tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("harness: opening journal: %w", err)
-	}
-	syncDir(filepath.Dir(path))
-	return &StreamJournal{path: path, f: f}, nil
-}
-
-// Append writes one record line (the terminating newline is added) and
-// fsyncs it. When Append returns nil the record is on disk; a crash at
-// any instant leaves at worst one torn final line, which the next
-// open's validated-prefix truncation heals.
-func (s *StreamJournal) Append(line []byte) error {
-	buf := make([]byte, 0, len(line)+1)
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("harness: journal append: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("harness: journal append: %w", err)
-	}
-	return nil
-}
-
-// Close releases the journal's file handle. The contents are already
-// durable; Close exists so a restarted process can reopen the path.
-func (s *StreamJournal) Close() error {
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("harness: closing journal: %w", err)
-	}
-	return nil
-}
-
-// loadCheckpoint reads completed cells into the memo map, returning
-// how many were loaded. A missing file resumes nothing; a header
-// written under different options is an error — its results would be
-// silently wrong for this run.
-func (s *Suite) loadCheckpoint(opt exper.Options) (int, error) {
-	f, err := os.Open(s.cfg.Checkpoint)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("harness: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-
-	r := bufio.NewReaderSize(f, 1<<20)
-	hdrLine, err := r.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF {
-			return 0, nil // empty or torn header: nothing to resume
-		}
-		return 0, fmt.Errorf("harness: reading checkpoint: %w", err)
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return 0, fmt.Errorf("harness: checkpoint %s: bad header: %w", s.cfg.Checkpoint, err)
-	}
-	if hdr.Version != checkpointVersion {
-		return 0, fmt.Errorf("harness: checkpoint %s: version %d, want %d", s.cfg.Checkpoint, hdr.Version, checkpointVersion)
-	}
-	if hdr.Instrs != opt.Instrs || hdr.Scale != opt.Scale || hdr.Seed != opt.Seed {
-		return 0, fmt.Errorf("harness: checkpoint %s was written with -instrs %d -scale %g -seed %d; rerun with those options or delete it",
-			s.cfg.Checkpoint, hdr.Instrs, hdr.Scale, hdr.Seed)
-	}
-	n := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// EOF, possibly with a torn final line from an interrupted
-			// append: the completed prefix is still valid.
-			break
-		}
-		var cell checkpointCell
-		if err := json.Unmarshal(line, &cell); err != nil {
-			break
-		}
-		s.memo[cell.Key] = cell.Result
-		n++
-	}
-	return n, nil
+	Key    string       `json:"key"`
+	Result *core.Result `json:"result"`
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,30 +17,8 @@ import (
 	"xlate/internal/exper"
 )
 
-func TestValidLines(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string
-	}{
-		{"empty", "", ""},
-		{"one line", "{\"a\":1}\n", "{\"a\":1}\n"},
-		{"torn tail dropped", "{\"a\":1}\n{\"b\":", "{\"a\":1}\n"},
-		{"unterminated final line dropped", "{\"a\":1}\n{\"b\":2}", "{\"a\":1}\n"},
-		{"corrupt line ends the prefix", "{\"a\":1}\nnot json\n{\"c\":3}\n", "{\"a\":1}\n"},
-		{"all torn", "{\"a\"", ""},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if got := ValidLines([]byte(c.in)); string(got) != c.want {
-				t.Errorf("ValidLines(%q) = %q, want %q", c.in, got, c.want)
-			}
-		})
-	}
-}
-
 // journalLines parses the on-disk checkpoint and fails on any malformed
-// line — the invariant the atomic-publish scheme maintains.
+// line — the invariant append+fsync with rollback maintains.
 func journalLines(t *testing.T, path string) [][]byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -57,59 +37,95 @@ func journalLines(t *testing.T, path string) [][]byte {
 	return lines
 }
 
-func TestJournalAppendPublishesAtomically(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "suite.ckpt")
-	opt := exper.Options{Instrs: 1, Scale: 1, Seed: 1}
+var testOpt = exper.Options{Instrs: 1, Scale: 1, Seed: 1}
 
-	j, err := openJournal(path, false, opt)
+func openCheckpointJournal(t *testing.T, path string) (*Journal[checkpointCell], []checkpointCell) {
+	t.Helper()
+	j, cells, err := OpenJournal(path, checkpointFormat, testOpt, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return j, cells
+}
+
+func appendCell(t *testing.T, j *Journal[checkpointCell], key string, instrs uint64) {
+	t.Helper()
+	if err := j.Append(checkpointCell{Key: key, Result: &core.Result{Instructions: instrs}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalAppendPublishesAtomically: every append lands as one
+// complete line, the file is valid JSONL after each one, and the
+// append path leaves no side files behind.
+func TestJournalAppendPublishesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "suite.ckpt")
+
+	j, _ := openCheckpointJournal(t, path)
+	defer j.Close()
 	// After open, the file already holds the header.
 	if lines := journalLines(t, path); len(lines) != 1 {
 		t.Fatalf("fresh journal has %d lines, want the header only", len(lines))
 	}
-	if err := j.append("cell-a", core.Result{Instructions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.append("cell-b", core.Result{Instructions: 2}); err != nil {
-		t.Fatal(err)
-	}
+	appendCell(t, j, "cell-a", 1)
+	appendCell(t, j, "cell-b", 2)
 	if lines := journalLines(t, path); len(lines) != 3 {
 		t.Fatalf("journal has %d lines, want header + 2 cells", len(lines))
 	}
-	// No temp files left behind by the rename dance.
-	leftover, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(leftover) != 0 {
-		t.Errorf("publish left temp files behind: %v", leftover)
+	if len(entries) != 1 {
+		t.Errorf("journal directory holds %d entries, want only the journal", len(entries))
 	}
 }
 
-// TestJournalHealsTornTailOnResume is the failure the hardening exists
-// for: a crash mid-write leaves a torn trailing line; resuming must keep
-// the valid prefix and never glue new appends onto the partial line.
+// TestJournalConcurrentAppends: workers append concurrently, and every
+// record lands as its own complete line.
+func TestJournalConcurrentAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "suite.ckpt")
+	j, _ := openCheckpointJournal(t, path)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				key := fmt.Sprintf("w%d-%d", w, i)
+				if err := j.Append(checkpointCell{Key: key, Result: &core.Result{Instructions: uint64(i)}}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	j.Close()
+	j2, cells := openCheckpointJournal(t, path)
+	defer j2.Close()
+	seen := make(map[string]bool)
+	for _, c := range cells {
+		seen[c.Key] = true
+	}
+	if len(cells) != 100 || len(seen) != 100 {
+		t.Fatalf("reopened %d cells (%d distinct), want 100", len(cells), len(seen))
+	}
+}
+
+// TestJournalHealsTornTailOnResume is the failure the journal's loader
+// exists for: a crash mid-write leaves a torn trailing line; resuming
+// must keep the valid prefix and never glue new appends onto the
+// partial line.
 func TestJournalHealsTornTailOnResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "suite.ckpt")
-	opt := exper.Options{Instrs: 1, Scale: 1, Seed: 1}
+	path := filepath.Join(t.TempDir(), "suite.ckpt")
 
-	j, err := openJournal(path, false, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.append("cell-a", core.Result{Instructions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.append("cell-b", core.Result{Instructions: 2}); err != nil {
-		t.Fatal(err)
-	}
+	j, _ := openCheckpointJournal(t, path)
+	appendCell(t, j, "cell-a", 1)
+	appendCell(t, j, "cell-b", 2)
+	j.Close()
 
-	// Simulate the torn write a crash can leave (pre-hardening journals,
-	// or reordered writes below the rename): chop the tail mid-line.
+	// Simulate the torn write a crash can leave: chop the tail mid-line.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -118,19 +134,17 @@ func TestJournalHealsTornTailOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := openJournal(path, true, opt)
-	if err != nil {
-		t.Fatal(err)
+	j2, cells := openCheckpointJournal(t, path)
+	defer j2.Close()
+	if len(cells) != 1 || cells[0].Key != "cell-a" || cells[0].Result.Instructions != 1 {
+		t.Fatalf("resumed cells = %+v, want cell-a only", cells)
 	}
-	// The torn cell-b line is dropped; header and cell-a survive, and
-	// the healed journal is republished complete.
+	// The torn cell-b line is truncated away; header and cell-a survive.
 	lines := journalLines(t, path)
 	if len(lines) != 2 || !bytes.Contains(lines[1], []byte("cell-a")) {
 		t.Fatalf("healed journal = %d lines %q, want header + cell-a", len(lines), lines)
 	}
-	if err := j2.append("cell-c", core.Result{Instructions: 3}); err != nil {
-		t.Fatal(err)
-	}
+	appendCell(t, j2, "cell-c", 3)
 	lines = journalLines(t, path)
 	if len(lines) != 3 || !bytes.Contains(lines[2], []byte("cell-c")) {
 		t.Fatalf("append after heal = %q, want cell-c as a clean third line", lines)
@@ -179,57 +193,203 @@ func TestResumeSurvivesTornCheckpointTail(t *testing.T) {
 	}
 }
 
-// TestStreamJournalAppendAndHeal covers the streaming journal the
-// cluster coordinator builds on: appends land as complete lines, a torn
-// tail is truncated away on reopen, and appends after the heal start on
-// a clean line boundary.
+// TestStreamJournalAppendAndHeal pins the journal's bytes: appends land
+// as complete lines after the header, a torn tail is truncated away on
+// reopen, and appends after the heal start on a clean line boundary.
 func TestStreamJournalAppendAndHeal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stream.jsonl")
+	hdr := `{"version":2,"kind":"suite","instrs":1,"scale":1,"seed":1}` + "\n"
+	line := func(key string, instrs uint64) string {
+		t.Helper()
+		b, err := json.Marshal(checkpointCell{Key: key, Result: &core.Result{Instructions: instrs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	a, b, d := line("a", 1), line("b", 2), line("d", 4)
+	contents := func() string {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
 
-	s, err := OpenStream(path, 0)
+	j, _ := openCheckpointJournal(t, path)
+	appendCell(t, j, "a", 1)
+	appendCell(t, j, "b", 2)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(); got != hdr+a+b {
+		t.Fatalf("journal contents = %q", got)
+	}
+
+	// Tear the tail mid-line, reopen, and append: the torn bytes must be
+	// gone, not glued onto.
+	if err := os.WriteFile(path, []byte(hdr+a+b+`{"key":"c",`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, cells := openCheckpointJournal(t, path)
+	if len(cells) != 2 {
+		t.Fatalf("reopen replayed %d cells, want 2", len(cells))
+	}
+	appendCell(t, j2, "d", 4)
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(); got != hdr+a+b+d {
+		t.Fatalf("healed journal contents = %q", got)
+	}
+}
+
+// TestCheckpointRule drives the journal's heal-or-refuse rule through
+// the suite's own resume path: a torn tail heals and the run completes
+// byte-identical to a sequential one; damage above a valid record is
+// ErrJournalCorrupt; another version, vocabulary, or set of options is
+// ErrJournalMismatch — and a refused checkpoint is left untouched.
+func TestCheckpointRule(t *testing.T) {
+	exps := []exper.Experiment{cellExp("one", []exper.Job{
+		tinyJob("alpha", core.CfgTHP, 7), tinyJob("beta", core.CfgRMM, 7),
+	})}
+	want := sequentialRender(t, exps)
+	hdr := `{"version":2,"kind":"suite","instrs":1,"scale":1,"seed":1}` + "\n"
+	key := jobKey(tinyJob("alpha", core.CfgTHP, 7))
+	res, err := exper.ExecuteJobContext(context.Background(), tinyJob("alpha", core.CfgTHP, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append([]byte(`{"a":1}`)); err != nil {
+	rec, err := json.Marshal(checkpointCell{Key: key, Result: &res})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append([]byte(`{"b":2}`)); err != nil {
-		t.Fatal(err)
+	cell := string(rec) + "\n"
+
+	cases := []struct {
+		name    string
+		content string
+		wantErr error
+		resumed int // cells the resumed run must not execute
+	}{
+		{name: "clean", content: hdr + cell, resumed: 1},
+		{name: "torn tail", content: hdr + cell + cell[:len(cell)/2], resumed: 1},
+		{name: "garbage tail", content: hdr + cell + "%%not json%%\n", resumed: 1},
+		{name: "torn header", content: hdr[:len(hdr)/2]},
+		{name: "garbage above a cell record", content: hdr + "%%garbage%%\n" + cell, wantErr: ErrJournalCorrupt},
+		{name: "record missing its result above a cell record", content: hdr + `{"key":"x"}` + "\n" + cell, wantErr: ErrJournalCorrupt},
+		{name: "options mismatch", content: strings.Replace(hdr, `"seed":1`, `"seed":2`, 1) + cell, wantErr: ErrJournalMismatch},
+		{name: "version-1 checkpoint", content: `{"version":1,"instrs":1,"scale":1,"seed":1}` + "\n" + cell, wantErr: ErrJournalMismatch},
+		{name: "cluster journal", content: strings.Replace(hdr, `"suite"`, `"cluster"`, 1) + cell, wantErr: ErrJournalMismatch},
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "suite.ckpt")
+			if err := os.WriteFile(ckpt, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var executed atomic.Int32
+			s := New(Config{
+				Workers: 2, Checkpoint: ckpt, Resume: true, Options: testOpt,
+				Execute: func(ctx context.Context, j exper.Job) (core.Result, error) {
+					executed.Add(1)
+					return exper.ExecuteJobContext(ctx, j)
+				},
+			})
+			results, err := s.Run(context.Background(), exps)
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("resume error = %v, want %v", err, tc.wantErr)
+				}
+				if data, _ := os.ReadFile(ckpt); string(data) != tc.content {
+					t.Errorf("refused checkpoint was modified: %q", data)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderAll(t, results); got != want {
+				t.Errorf("resumed output differs from sequential:\n--- resumed ---\n%s\n--- sequential ---\n%s", got, want)
+			}
+			if n := int(executed.Load()); n != 2-tc.resumed {
+				t.Errorf("resume executed %d cells, want %d", n, 2-tc.resumed)
+			}
+		})
+	}
+}
+
+var errInjected = errors.New("injected write failure")
+
+// failNextWrite makes the journal's next write fail partway through:
+// the first half of the bytes reach the file, then the write errors —
+// what a full disk or an I/O error mid-record leaves behind. With
+// failTruncate, the rollback fails too.
+func failNextWrite(j *Journal[checkpointCell], failTruncate bool) {
+	write := j.write
+	armed := true
+	j.write = func(b []byte) (int, error) {
+		if !armed {
+			return write(b)
+		}
+		armed = false
+		n, _ := write(b[:len(b)/2])
+		return n, errInjected
+	}
+	if failTruncate {
+		j.truncate = func(int64) error { return errInjected }
+	}
+}
+
+// TestJournalAppendRollsBackFailedWrite: a write that fails partway
+// through a record must not leave its partial bytes in the file, or
+// the next record would glue onto them and the next open would refuse
+// the whole journal as corrupt.
+func TestJournalAppendRollsBackFailedWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "suite.ckpt")
+	j, _ := openCheckpointJournal(t, path)
+	appendCell(t, j, "cell-a", 1)
+	failNextWrite(j, false)
+	err := j.Append(checkpointCell{Key: "cell-b", Result: &core.Result{Instructions: 2}})
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("failed append = %v, want the write error", err)
+	}
+	if lines := journalLines(t, path); len(lines) != 2 {
+		t.Fatalf("journal after a failed append = %d lines %q, want header + cell-a", len(lines), lines)
+	}
+	appendCell(t, j, "cell-c", 3)
+	j.Close()
+
+	j2, cells := openCheckpointJournal(t, path)
+	defer j2.Close()
+	if len(cells) != 2 || cells[0].Key != "cell-a" || cells[1].Key != "cell-c" {
+		t.Fatalf("reopened cells = %+v, want cell-a and cell-c", cells)
+	}
+}
+
+// TestJournalRefusesAfterFailedRollback: when even the rollback fails,
+// the file may end in a partial line, so every later append must fail
+// rather than glue a record onto it.
+func TestJournalRefusesAfterFailedRollback(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "suite.ckpt")
+	j, _ := openCheckpointJournal(t, path)
+	defer j.Close()
+	failNextWrite(j, true)
+	if err := j.Append(checkpointCell{Key: "cell-a", Result: &core.Result{}}); !errors.Is(err, errInjected) {
+		t.Fatalf("failed append = %v, want the write error", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.Append(checkpointCell{Key: "cell-b", Result: &core.Result{}}); !errors.Is(err, errInjected) {
+			t.Fatalf("append %d after a failed rollback = %v, want the rollback error", i, err)
+		}
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != "{\"a\":1}\n{\"b\":2}\n" {
-		t.Fatalf("stream contents = %q", data)
-	}
-
-	// Tear the tail mid-line, reopen keeping only the validated prefix,
-	// and append: the torn bytes must be gone, not glued onto.
-	torn := append(append([]byte{}, data...), []byte(`{"c":`)...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keep := int64(len(ValidLines(torn)))
-	s2, err := OpenStream(path, keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Append([]byte(`{"d":4}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "{\"a\":1}\n{\"b\":2}\n{\"d\":4}\n" {
-		t.Fatalf("healed stream contents = %q", data)
+	if bytes.Contains(data, []byte("cell-b")) {
+		t.Errorf("an append after a failed rollback reached the file: %q", data)
 	}
 }
 

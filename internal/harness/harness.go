@@ -28,6 +28,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -58,7 +59,10 @@ type Config struct {
 	Checkpoint string
 	// Resume loads completed cells from Checkpoint before executing, so
 	// an interrupted run continues where it stopped. A missing file is
-	// not an error; a file written under different Options is.
+	// not an error and a torn tail is healed; a file written under
+	// different Options (ErrJournalMismatch) or damaged above a valid
+	// record (ErrJournalCorrupt) is an error. Without Resume the run
+	// starts a fresh checkpoint.
 	Resume bool
 	// Options is the base experiment configuration. Its Runner field is
 	// owned by the harness and overwritten.
@@ -116,7 +120,7 @@ type Suite struct {
 	mu       sync.Mutex
 	memo     map[string]core.Result
 	failed   map[string]*RunError
-	jrnl     *journal
+	jrnl     *Journal[checkpointCell]
 	planned  int
 	inflight map[string]inflightCell
 
@@ -163,22 +167,11 @@ func (s *Suite) Run(ctx context.Context, exps []exper.Experiment) ([]ExperimentR
 		s.mu.Unlock()
 		s.cfg.Logf("preloaded %d completed cells", len(s.cfg.Preload))
 	}
-	if s.cfg.Resume && s.cfg.Checkpoint != "" {
-		n, err := s.loadCheckpoint(opt)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			s.cfg.Logf("resumed %d completed cells from %s", n, s.cfg.Checkpoint)
-		}
-	}
 	if s.cfg.Checkpoint != "" {
-		j, err := openJournal(s.cfg.Checkpoint, s.cfg.Resume, opt)
-		if err != nil {
+		if err := s.openCheckpoint(opt); err != nil {
 			return nil, err
 		}
-		s.jrnl = j
-		defer s.jrnl.close()
+		defer s.jrnl.Close() //nolint:errcheck // every record is already durable
 	}
 
 	jobs := s.plan(exps, opt)
@@ -210,13 +203,48 @@ func (s *Suite) Run(ctx context.Context, exps []exper.Experiment) ([]ExperimentR
 		}
 	}
 	if clean && s.jrnl != nil {
-		s.jrnl.close()
-		s.jrnl = nil
-		if err := os.Remove(s.cfg.Checkpoint); err != nil && !os.IsNotExist(err) {
+		if err := s.jrnl.Remove(); err != nil {
 			s.cfg.Logf("leaving checkpoint %s: %v", s.cfg.Checkpoint, err)
 		}
 	}
 	return results, nil
+}
+
+// openCheckpoint opens the checkpoint journal. Without Resume the run
+// starts a fresh journal; with it, the journal's completed cells are
+// loaded into the memo first.
+func (s *Suite) openCheckpoint(opt exper.Options) error {
+	if !s.cfg.Resume {
+		if err := os.Remove(s.cfg.Checkpoint); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("harness: replacing checkpoint: %w", err)
+		}
+	}
+	j, cells, err := OpenJournal(s.cfg.Checkpoint, checkpointFormat, opt, s.cfg.Logf)
+	if err != nil {
+		return err
+	}
+	s.jrnl = j
+	s.mu.Lock()
+	for _, c := range cells {
+		s.memo[c.Key] = *c.Result
+	}
+	s.mu.Unlock()
+	if len(cells) > 0 {
+		s.cfg.Logf("resumed %d completed cells from %s", len(cells), s.cfg.Checkpoint)
+	}
+	return nil
+}
+
+// journalCell appends a completed cell to the checkpoint, if any. The
+// append fsyncs, so callers make it outside the suite lock; the journal
+// serializes itself.
+func (s *Suite) journalCell(key string, res core.Result) {
+	if s.jrnl == nil {
+		return
+	}
+	if err := s.jrnl.Append(checkpointCell{Key: key, Result: &res}); err != nil {
+		s.cfg.Logf("checkpoint append: %v", err)
+	}
 }
 
 // plannedJob couples a cell with its content-addressed key. enqueued is
@@ -352,10 +380,8 @@ func (s *Suite) runAndRecord(ctx context.Context, pj plannedJob) {
 	// recording. The journal serializes itself, and a crash between the
 	// memo update and the append costs at most a retried cell on resume —
 	// the same window the old order had between append and unlock.
-	if recorded && s.jrnl != nil {
-		if err := s.jrnl.append(pj.key, res); err != nil {
-			s.cfg.Logf("checkpoint append: %v", err)
-		}
+	if recorded {
+		s.journalCell(pj.key, res)
 	}
 	if hook != nil {
 		hook(pj.key)

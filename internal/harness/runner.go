@@ -91,12 +91,6 @@ func (r *servingRunner) RunCell(j exper.Job) (core.Result, error) {
 	}
 	r.s.memo[k] = res
 	r.s.mu.Unlock()
-	// Like runAndRecord: the journal fsyncs and serializes itself, so
-	// the append stays outside the suite lock.
-	if r.s.jrnl != nil {
-		if err := r.s.jrnl.append(k, res); err != nil {
-			r.s.cfg.Logf("checkpoint append: %v", err)
-		}
-	}
+	r.s.journalCell(k, res) // outside the suite lock, like runAndRecord
 	return res, nil
 }

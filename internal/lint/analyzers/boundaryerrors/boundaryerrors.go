@@ -18,14 +18,15 @@
 // must wrap a sentinel with %w too — a bare Errorf there silently
 // turns a dead worker into a failed experiment.
 //
-// The cluster's crash-survivability internals (DESIGN.md §12) extend
-// the contract below the export line: journal replay classifies damage
-// as heal-vs-refuse purely via errors.Is(ErrJournalCorrupt /
-// ErrJournalMismatch), and takeover/federation callers classify probe
-// misses the same way — so unexported cluster functions whose names
-// mark them as journal, replay, federation, or takeover code are held
-// to the %w rule too, even though they never cross the package
-// boundary.
+// The crash-survivability internals (DESIGN.md §6, §12) extend the
+// contract below the export line: the journal loader in
+// internal/harness classifies damage as heal-vs-refuse purely via
+// errors.Is(ErrJournalCorrupt / ErrJournalMismatch) for both the suite
+// checkpoint and the cluster coordinator, and the cluster's
+// takeover/federation callers classify probe misses the same way — so
+// functions in those two packages whose names (or receiver types) mark
+// them as journal, replay, federation, or takeover code are held to
+// the %w rule too, exported or not.
 package boundaryerrors
 
 import (
@@ -53,9 +54,16 @@ var boundaryPkgs = map[string]bool{
 	"xlate/internal/service/cluster": true,
 }
 
+// crashPathPkgs hold the crash-survivability machinery: the journal
+// loader (harness) and its coordinator user (cluster).
+var crashPathPkgs = map[string]bool{
+	"xlate/internal/harness":         true,
+	"xlate/internal/service/cluster": true,
+}
+
 func run(pass *lint.Pass) {
 	for _, pkg := range pass.Pkgs {
-		if !boundaryPkgs[pkg.Path] {
+		if !boundaryPkgs[pkg.Path] && !crashPathPkgs[pkg.Path] {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -64,7 +72,8 @@ func run(pass *lint.Pass) {
 				if !ok || fd.Body == nil || !returnsError(pkg, fd) {
 					continue
 				}
-				if !fd.Name.IsExported() && !crashPathFunc(pkg.Path, fd.Name.Name) {
+				exported := boundaryPkgs[pkg.Path] && fd.Name.IsExported()
+				if !exported && !(crashPathPkgs[pkg.Path] && crashPathFunc(fd)) {
 					continue
 				}
 				checkFunc(pass, pkg, fd)
@@ -73,21 +82,44 @@ func run(pass *lint.Pass) {
 	}
 }
 
-// crashPathFunc reports whether an unexported cluster function belongs
-// to the crash-survivability machinery, whose error returns are
-// classified with errors.Is by the coordinator's heal-vs-refuse and
-// requeue-vs-fail decisions.
-func crashPathFunc(pkgPath, name string) bool {
-	if pkgPath != "xlate/internal/service/cluster" {
-		return false
+// crashPathFunc reports whether a function belongs to the
+// crash-survivability machinery, whose error returns are classified
+// with errors.Is by the heal-vs-refuse and requeue-vs-fail decisions:
+// its name, or its receiver's type name, says journal, replay,
+// federation, or takeover.
+func crashPathFunc(fd *ast.FuncDecl) bool {
+	names := []string{fd.Name.Name}
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		names = append(names, recvTypeName(fd.Recv.List[0].Type))
 	}
-	l := strings.ToLower(name)
-	for _, kw := range []string{"journal", "replay", "federat", "takeover"} {
-		if strings.Contains(l, kw) {
-			return true
+	for _, n := range names {
+		l := strings.ToLower(n)
+		for _, kw := range []string{"journal", "replay", "federat", "takeover"} {
+			if strings.Contains(l, kw) {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// recvTypeName is the type name of a method receiver: T, *T, T[P] or
+// *T[P] all name T.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
 }
 
 func returnsError(pkg *lint.Package, fd *ast.FuncDecl) bool {

@@ -93,7 +93,7 @@ func supervised(g *lint.Graph, pkg *lint.Package, call *ast.CallExpr) bool {
 // calleePasses judges a named callee: module functions by summary,
 // stdlib by the supervised table.
 func calleePasses(g *lint.Graph, fn *types.Func) bool {
-	if n, ok := g.ByObj[fn]; ok {
+	if n := g.Node(fn); n != nil {
 		return summaryPasses(&n.Summary)
 	}
 	return stdSupervised[fn.FullName()]

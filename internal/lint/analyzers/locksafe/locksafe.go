@@ -279,7 +279,7 @@ func (c *checker) calleeNode(pkg *lint.Package, call *ast.CallExpr) *lint.FuncNo
 		return nil
 	}
 	if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-		return c.g.ByObj[fn]
+		return c.g.Node(fn)
 	}
 	return nil
 }

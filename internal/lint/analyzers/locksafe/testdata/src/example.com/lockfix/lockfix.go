@@ -53,6 +53,22 @@ func (s *server) fsyncUnderLock(f *os.File) {
 	s.mu.Unlock()
 }
 
+// log is a generic type; calls through an instantiation resolve to
+// the declared method's summary.
+type log[R any] struct{ f *os.File }
+
+func (l *log[R]) append(rec R) error {
+	return l.f.Sync()
+}
+
+// fsyncViaGeneric reaches the disk barrier through a method of an
+// instantiated generic type.
+func (s *server) fsyncViaGeneric(l *log[int]) {
+	s.mu.Lock()
+	_ = l.append(1) // want "which blocks"
+	s.mu.Unlock()
+}
+
 // branchLocal: an acquisition inside a branch must not leak into the
 // fall-through path — the send below is lock-free.
 func (s *server) branchLocal(cond bool, v int) {

@@ -248,6 +248,14 @@ func (g *Graph) walkBody(n *FuncNode, body *ast.BlockStmt) {
 	}
 }
 
+// Node returns the node of a module function, nil for functions
+// outside the module. A call to a generic function or to a method of a
+// generic type resolves to an instantiation; its node is the
+// declaration's (Origin), so summaries see through generic code.
+func (g *Graph) Node(fn *types.Func) *FuncNode {
+	return g.ByObj[fn.Origin()]
+}
+
 // callEdges resolves one call site into edges; kind is EdgeCall, or
 // EdgeGo/EdgeDefer when the call hangs off a go/defer statement.
 func (g *Graph) callEdges(n *FuncNode, call *ast.CallExpr, kind EdgeKind) {
@@ -258,7 +266,7 @@ func (g *Graph) callEdges(n *FuncNode, call *ast.CallExpr, kind EdgeKind) {
 		n.Out = append(n.Out, Edge{Kind: kind, To: child, Site: call})
 	case *ast.Ident:
 		if fn, ok := n.Pkg.Info.Uses[f].(*types.Func); ok {
-			if target := g.ByObj[fn]; target != nil {
+			if target := g.Node(fn); target != nil {
 				n.Out = append(n.Out, Edge{Kind: kind, To: target, Site: call})
 			}
 		}
@@ -269,7 +277,7 @@ func (g *Graph) callEdges(n *FuncNode, call *ast.CallExpr, kind EdgeKind) {
 				for _, target := range g.dispatchTargets(n.Pkg, fn) {
 					n.Out = append(n.Out, Edge{Kind: EdgeDynamic, To: target, Site: call})
 				}
-			} else if target := g.ByObj[fn]; target != nil {
+			} else if target := g.Node(fn); target != nil {
 				n.Out = append(n.Out, Edge{Kind: kind, To: target, Site: call})
 			}
 		}
@@ -292,7 +300,7 @@ func (g *Graph) refEdge(n *FuncNode, id *ast.Ident, site ast.Node) {
 	if !ok {
 		return
 	}
-	if target := g.ByObj[fn]; target != nil {
+	if target := g.Node(fn); target != nil {
 		n.Out = append(n.Out, Edge{Kind: EdgeRef, To: target, Site: site})
 	}
 }

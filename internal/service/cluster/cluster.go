@@ -28,8 +28,9 @@
 //     deterministic failure elsewhere produces the same failure.
 //   - With zero live workers the coordinator executes cells locally:
 //     the run degrades to the single-process path instead of hanging.
-//   - Completed cells live in the harness memo and the coordinator's
-//     checkpoint journal; a worker death never recomputes them.
+//   - Completed cells live in the harness memo and, with
+//     Config.Journal, the coordinator's crash journal; a worker death
+//     never recomputes them.
 package cluster
 
 import (
@@ -67,15 +68,11 @@ type Config struct {
 	NewWorkerClient func(id, base string) *client.Client
 	// Options is the base experiment configuration for RunSuite.
 	Options exper.Options
-	// Checkpoint / Resume are the coordinator-side harness journal, so
-	// an interrupted cluster run resumes without recomputing cells.
-	Checkpoint string
-	Resume     bool
 	// Journal is the coordinator's durable crash journal ("" disables):
 	// every completed cell and membership event is fsync'd there as it
 	// commits, and a restarted coordinator replays it to resume the
-	// suite automatically (DESIGN.md §12). Unlike Checkpoint/Resume,
-	// replay needs no flag — the journal's presence is the signal.
+	// suite automatically (DESIGN.md §12). Replay needs no flag — the
+	// journal's presence is the signal.
 	Journal string
 	// FederationTimeout bounds each federated cache probe — the
 	// read-through GET /v1/results/{key} against a cell's ring owners
@@ -255,7 +252,7 @@ func (c *Coordinator) RemoveJournal() error {
 	if c.jrnl == nil {
 		return nil
 	}
-	if err := c.jrnl.remove(); err != nil {
+	if err := c.jrnl.j.Remove(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
@@ -499,7 +496,7 @@ func (c *Coordinator) infoLocked(w *worker) WorkerInfo {
 
 // RunSuite executes experiments through the harness with cells
 // dispatched across the cluster. The harness does the planning,
-// deduplication, checkpointing, and rendering; the cluster only
+// deduplication, and rendering; the cluster only
 // replaces the per-cell executor, so the output is byte-identical to a
 // single-process run over the same options.
 // The completed-cell set from the journal replay (and any earlier
@@ -507,14 +504,12 @@ func (c *Coordinator) infoLocked(w *worker) WorkerInfo {
 // takeover-resume plans the full suite but executes only the gap.
 func (c *Coordinator) RunSuite(ctx context.Context, exps []exper.Experiment) ([]harness.ExperimentResult, error) {
 	hcfg := harness.Config{
-		Workers:    c.cfg.CellWorkers,
-		Options:    c.cfg.Options,
-		Checkpoint: c.cfg.Checkpoint,
-		Resume:     c.cfg.Resume,
-		Preload:    c.CompletedCells(),
-		Registry:   c.cfg.Registry,
-		Logf:       c.cfg.Logf,
-		Execute:    c.executeCell,
+		Workers:  c.cfg.CellWorkers,
+		Options:  c.cfg.Options,
+		Preload:  c.CompletedCells(),
+		Registry: c.cfg.Registry,
+		Logf:     c.cfg.Logf,
+		Execute:  c.executeCell,
 	}
 	return harness.New(hcfg).Run(ctx, exps)
 }

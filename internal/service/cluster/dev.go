@@ -45,9 +45,6 @@ type DevConfig struct {
 	Retry client.Backoff
 	// Options is the base experiment configuration.
 	Options exper.Options
-	// Checkpoint / Resume are the coordinator-side harness journal.
-	Checkpoint string
-	Resume     bool
 	// Journal is the coordinator's crash journal, reopened by every
 	// coordinator generation ("" disables, which also disables
 	// RestartCoordinator's resume guarantee).
@@ -238,8 +235,6 @@ func (d *DevCluster) startCoordinator(ln net.Listener) error {
 		HeartbeatTimeout: d.cfg.HeartbeatTimeout,
 		Retry:            d.cfg.Retry,
 		Options:          d.cfg.Options,
-		Checkpoint:       d.cfg.Checkpoint,
-		Resume:           d.cfg.Resume,
 		Journal:          d.cfg.Journal,
 		OnJournalAppend:  d.cfg.OnJournalAppend,
 		Registry:         d.cfg.Registry,

@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"sync"
+	"sync/atomic"
 
 	"xlate/internal/core"
 	"xlate/internal/exper"
@@ -14,48 +10,13 @@ import (
 )
 
 // The coordinator journal (DESIGN.md §12) is what makes the
-// coordinator itself expendable: an append-only JSONL stream
-// (harness.StreamJournal — one fsync'd write per record) holding a
-// header line that binds the file to the run options, then one record
-// per completed cell and per worker-membership event, in the order
-// they were committed. A restarted coordinator replays the journal to
-// rebuild the completed-cell set and the last known ring membership,
-// requeues only what is missing, and finishes the suite — no manual
-// -resume, no re-executed cell.
-//
-// Corruption discipline, the same shape as the PR 5 checkpoint but
-// with a sharper split: a torn or garbage *tail* is healed (those
-// records were never durably acknowledged — losing them only costs
-// re-execution, never correctness), while garbage *followed by a
-// parseable record* refuses to load with ErrJournalCorrupt. Healing
-// that case would silently skip a completed cell that demonstrably
-// made it to disk, which is exactly the lie this journal exists to
-// make impossible.
-
-const journalVersion = 1
-
-// ErrJournalCorrupt marks a coordinator journal whose middle is
-// damaged: an unreadable line with valid records after it. Replay
-// refuses to proceed — continuing would silently drop completed cells.
-var ErrJournalCorrupt = errors.New("cluster: coordinator journal corrupt")
-
-// ErrJournalMismatch marks a journal written under a different version
-// or different run options; its cell results would be silently wrong
-// for this run.
-var ErrJournalMismatch = errors.New("cluster: coordinator journal mismatch")
-
-// errJournalClosed marks an append against a journal already closed by
-// End — a benign race during shutdown, logged and dropped.
-var errJournalClosed = errors.New("cluster: coordinator journal closed")
-
-// journalHeader binds the journal to the options every cell key was
-// computed under, mirroring the harness checkpoint header.
-type journalHeader struct {
-	Version int     `json:"version"`
-	Instrs  uint64  `json:"instrs"`
-	Scale   float64 `json:"scale"`
-	Seed    int64   `json:"seed"`
-}
+// coordinator itself expendable: a harness journal (one fsync'd
+// append per record, one heal-or-refuse loader shared with the suite
+// checkpoint) holding one record per completed cell and per
+// worker-membership event, in the order they were committed. A
+// restarted coordinator replays it to rebuild the completed-cell set
+// and the last known ring membership, requeues only what is missing,
+// and finishes the suite — no manual -resume, no re-executed cell.
 
 // journal record events.
 const (
@@ -64,6 +25,20 @@ const (
 	evLeave = "leave"
 	evDead  = "dead"
 )
+
+// journalFormat is the coordinator journal's record vocabulary.
+// Version 2 added the header's kind; a version-1 journal is refused
+// with harness.ErrJournalMismatch.
+var journalFormat = harness.JournalFormat[journalRecord]{
+	Kind:    "cluster",
+	Version: 2,
+	Check:   checkRecord,
+}
+
+// JournalFormat returns the coordinator journal's record vocabulary,
+// so journal-level tests can drive the real cluster records through
+// the harness loader.
+func JournalFormat() harness.JournalFormat[journalRecord] { return journalFormat }
 
 // journalRecord is one journal line after the header.
 type journalRecord struct {
@@ -88,107 +63,34 @@ type replayState struct {
 	events  int
 }
 
-// clusterJournal is the coordinator's durable event log. Appends are
-// serialized by its own mutex; the coordinator may call it while
-// holding its registry lock (lock order: Coordinator.mu, then jmu).
+// clusterJournal is the coordinator's durable event log. The harness
+// journal serializes appends; the coordinator may append while holding
+// its registry lock (lock order: Coordinator.mu, then the journal's).
 type clusterJournal struct {
-	jmu    sync.Mutex
-	path   string
-	stream *harness.StreamJournal
-	closed bool
-	cells  int // cell records on disk, replayed + appended
+	j     *harness.Journal[journalRecord]
+	cells atomic.Int64 // cell records on disk, replayed + appended
 }
 
-// openClusterJournal reads, validates, and replays the journal at
-// path, then opens it for appends with any torn tail truncated away.
-// A missing or empty file starts a fresh journal (header written
-// immediately); a header under different options fails with
-// ErrJournalMismatch; damage in the middle fails with
-// ErrJournalCorrupt.
+// openClusterJournal opens the journal at path and replays it. A
+// missing or empty file starts a fresh journal; the harness loader
+// heals a torn tail and refuses a header under different options
+// (harness.ErrJournalMismatch) or damage in the middle
+// (harness.ErrJournalCorrupt).
 func openClusterJournal(path string, opt exper.Options, logf func(string, ...any)) (*clusterJournal, *replayState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("cluster: reading journal %s: %w", path, err)
-	}
-	state, keep, err := replayJournal(data, path, opt)
+	j, recs, err := harness.OpenJournal(path, journalFormat, opt, logf)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
-	stream, err := harness.OpenStream(path, keep)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: journal %s: %w", path, err)
-	}
-	j := &clusterJournal{path: path, stream: stream, cells: len(state.cells)}
-	if keep == 0 {
-		hdr, err := json.Marshal(journalHeader{
-			Version: journalVersion, Instrs: opt.Instrs, Scale: opt.Scale, Seed: opt.Seed,
-		})
-		if err != nil {
-			stream.Close() //nolint:errcheck // failing open anyway
-			return nil, nil, fmt.Errorf("cluster: journal %s: encoding header: %w", path, err)
-		}
-		if err := j.stream.Append(hdr); err != nil {
-			stream.Close() //nolint:errcheck // failing open anyway
-			return nil, nil, fmt.Errorf("cluster: journal %s: %w", path, err)
-		}
-	}
-	if healed := int64(len(data)) - keep; healed > 0 {
-		logf("journal %s: healed %d torn trailing bytes", path, healed)
-	}
-	return j, state, nil
-}
-
-// replayJournal parses the journal bytes, returning the rebuilt state
-// and the byte length of the validated prefix to keep on disk.
-func replayJournal(data []byte, path string, opt exper.Options) (*replayState, int64, error) {
 	state := &replayState{
 		cells:   make(map[string]core.Result),
 		members: make(map[string]memberState),
 	}
-	i := bytes.IndexByte(data, '\n')
-	if i < 0 {
-		// Empty file, or a header torn mid-write before anything was
-		// acknowledged: a fresh journal either way.
-		return state, 0, nil
-	}
-	var hdr journalHeader
-	if err := strictUnmarshal(data[:i], &hdr); err != nil {
-		if rec, ok := nextValidRecord(data[i+1:]); ok {
-			return nil, 0, fmt.Errorf("cluster: journal %s: unreadable header above a valid %q record: %w",
-				path, rec.Event, ErrJournalCorrupt)
-		}
-		return state, 0, nil // garbage with nothing durable after it: start fresh
-	}
-	if hdr.Version != journalVersion {
-		return nil, 0, fmt.Errorf("cluster: journal %s: version %d, want %d: %w",
-			path, hdr.Version, journalVersion, ErrJournalMismatch)
-	}
-	if hdr.Instrs != opt.Instrs || hdr.Scale != opt.Scale || hdr.Seed != opt.Seed {
-		return nil, 0, fmt.Errorf("cluster: journal %s was written with -instrs %d -scale %g -seed %d; rerun with those options or delete it: %w",
-			path, hdr.Instrs, hdr.Scale, hdr.Seed, ErrJournalMismatch)
-	}
-
-	off := int64(i) + 1
-	lineNo := 1
-	for int(off) < len(data) {
-		rest := data[off:]
-		n := bytes.IndexByte(rest, '\n')
-		if n < 0 {
-			break // torn final line: heal
-		}
-		lineNo++
-		rec, err := parseRecord(rest[:n])
-		if err != nil {
-			if later, ok := nextValidRecord(rest[n+1:]); ok {
-				return nil, 0, fmt.Errorf("cluster: journal %s: unreadable line %d (%v) above a valid %q record: %w",
-					path, lineNo, err, later.Event, ErrJournalCorrupt)
-			}
-			break // garbage tail with nothing durable after it: heal
-		}
+	for _, rec := range recs {
 		state.apply(rec)
-		off += int64(n) + 1
 	}
-	return state, off, nil
+	cj := &clusterJournal{j: j}
+	cj.cells.Store(int64(len(state.cells)))
+	return cj, state, nil
 }
 
 // apply folds one record into the replay state.
@@ -209,118 +111,49 @@ func (s *replayState) apply(rec journalRecord) {
 	}
 }
 
-// parseRecord decodes and validates one journal line.
-func parseRecord(line []byte) (journalRecord, error) {
-	var rec journalRecord
-	if err := strictUnmarshal(line, &rec); err != nil {
-		return rec, err
-	}
+// checkRecord validates one decoded journal record's shape.
+func checkRecord(rec journalRecord) error {
 	switch rec.Event {
 	case evCell:
 		if rec.Key == "" || rec.Result == nil {
-			return rec, fmt.Errorf("cell record missing key or result: %w", ErrJournalCorrupt)
+			return fmt.Errorf("cell record missing key or result: %w", harness.ErrJournalCorrupt)
 		}
 	case evJoin:
 		if rec.Worker == "" || rec.Addr == "" {
-			return rec, fmt.Errorf("join record missing worker or addr: %w", ErrJournalCorrupt)
+			return fmt.Errorf("join record missing worker or addr: %w", harness.ErrJournalCorrupt)
 		}
 	case evLeave, evDead:
 		if rec.Worker == "" {
-			return rec, fmt.Errorf("%s record missing worker: %w", rec.Event, ErrJournalCorrupt)
+			return fmt.Errorf("%s record missing worker: %w", rec.Event, harness.ErrJournalCorrupt)
 		}
 	default:
-		return rec, fmt.Errorf("unknown event %q: %w", rec.Event, ErrJournalCorrupt)
-	}
-	return rec, nil
-}
-
-// nextValidRecord scans the remaining complete lines for one that
-// parses as a journal record — the witness that damage sits in the
-// middle of the journal, not at its torn tail.
-func nextValidRecord(rest []byte) (journalRecord, bool) {
-	for len(rest) > 0 {
-		n := bytes.IndexByte(rest, '\n')
-		if n < 0 {
-			break
-		}
-		if rec, err := parseRecord(rest[:n]); err == nil {
-			return rec, true
-		}
-		rest = rest[n+1:]
-	}
-	return journalRecord{}, false
-}
-
-// strictUnmarshal decodes one JSON document, rejecting unknown fields
-// and trailing data — a header line must not pass as a record.
-func strictUnmarshal(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("cluster: journal line: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("cluster: journal line has trailing data: %w", ErrJournalCorrupt)
+		return fmt.Errorf("unknown event %q: %w", rec.Event, harness.ErrJournalCorrupt)
 	}
 	return nil
 }
 
 // appendCell journals one completed cell and returns the new cell
 // count — the soak harness's deterministic kill trigger counts these.
+// The count is taken after the record is durable, so when it reads N
+// at least N cell records are on disk.
 func (j *clusterJournal) appendCell(key string, res core.Result) (int, error) {
-	rec := journalRecord{Event: evCell, Key: key, Result: &res}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: journal: encoding cell %s: %w", shortKey(key), err)
-	}
-	j.jmu.Lock()
-	defer j.jmu.Unlock()
-	if j.closed {
-		return 0, fmt.Errorf("cluster: journal: cell %s: %w", shortKey(key), errJournalClosed)
-	}
-	//eeatlint:allow locksafe jmu exists to serialize the journal file; the durable append is the critical section
-	if err := j.stream.Append(b); err != nil {
+	if err := j.j.Append(journalRecord{Event: evCell, Key: key, Result: &res}); err != nil {
 		return 0, fmt.Errorf("cluster: journal: cell %s: %w", shortKey(key), err)
 	}
-	j.cells++
-	return j.cells, nil
+	return int(j.cells.Add(1)), nil
 }
 
 // appendMember journals a worker-membership event (join/leave/dead).
 func (j *clusterJournal) appendMember(event, worker, addr string) error {
-	b, err := json.Marshal(journalRecord{Event: event, Worker: worker, Addr: addr})
-	if err != nil {
-		return fmt.Errorf("cluster: journal: encoding %s of worker %s: %w", event, worker, err)
-	}
-	j.jmu.Lock()
-	defer j.jmu.Unlock()
-	if j.closed {
-		return fmt.Errorf("cluster: journal: %s of worker %s: %w", event, worker, errJournalClosed)
-	}
-	//eeatlint:allow locksafe jmu exists to serialize the journal file; the durable append is the critical section
-	if err := j.stream.Append(b); err != nil {
+	if err := j.j.Append(journalRecord{Event: event, Worker: worker, Addr: addr}); err != nil {
 		return fmt.Errorf("cluster: journal: %s of worker %s: %w", event, worker, err)
 	}
 	return nil
 }
 
 // close releases the journal handle; later appends fail with
-// errJournalClosed instead of racing a successor coordinator's handle.
+// harness.ErrJournalClosed instead of racing a successor coordinator's
+// handle.
 func (j *clusterJournal) close() {
-	j.jmu.Lock()
-	defer j.jmu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	j.stream.Close() //nolint:errcheck // contents already durable
-}
-
-// remove deletes the journal file after a fully successful run.
-func (j *clusterJournal) remove() error {
-	j.close()
-	if err := os.Remove(j.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("cluster: removing journal %s: %w", j.path, err)
-	}
-	return nil
+	j.j.Close() //nolint:errcheck // contents already durable
 }

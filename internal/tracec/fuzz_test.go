@@ -2,9 +2,17 @@ package tracec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"testing"
+
+	"xlate/internal/addr"
+	"xlate/internal/audit"
+	"xlate/internal/core"
+	"xlate/internal/physmem"
+	"xlate/internal/trace"
+	"xlate/internal/vm"
 )
 
 // FuzzSegmentDecode is the decoder's robustness contract: for arbitrary
@@ -78,6 +86,83 @@ func FuzzSegmentDecode(f *testing.F) {
 		rerefs, err := DecodeAll(reenc)
 		if err != nil || !reflect.DeepEqual(rerefs, refs) {
 			t.Fatalf("re-encode round trip diverged (err=%v)", err)
+		}
+	})
+}
+
+// FuzzSimulateTrace drives arbitrary bytes down the external-trace
+// path end to end: Ingest, Validate, then a short demand-paged
+// simulation with every access audited, under a split-L1 config (THP)
+// and a range config (RMM). Every input must end in a clean Result or
+// a typed error — a rejected stream, a demand fault the address space
+// cannot back, or an address beyond 48 bits — never a panic or an
+// integrity violation. Run
+// continuously with `make fuzz`.
+func FuzzSimulateTrace(f *testing.F) {
+	var rec bytes.Buffer
+	w, err := trace.NewWriter(&rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range synthRefs(64, 3) {
+		if err := w.Write(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.Bytes())
+	seg, _, err := EncodeRefs(synthRefs(40, 5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	// Extreme addresses: the top of the address space and zero.
+	edge, _, err := EncodeRefs([]trace.Ref{{VA: ^addr.VA(0), Instrs: 1}, {VA: 0, Instrs: 3}, {VA: 1 << 47, Instrs: 1 << 40}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge)
+	// No instructions at all: a replay of it could never end.
+	idle, _, err := EncodeRefs([]trace.Ref{{VA: 1 << 30, Instrs: 0}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(idle)
+	f.Add([]byte("XLTRACE1\n"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seg, _, err := Ingest(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) && !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("Ingest rejection is not typed: %v", err)
+			}
+			return
+		}
+		s, err := Validate(seg)
+		if err != nil {
+			t.Fatalf("Ingest accepted a segment Validate refuses: %v", err)
+		}
+		for _, kind := range []core.ConfigKind{core.CfgTHP, core.CfgRMM} {
+			p := core.DefaultParams(kind)
+			p.DemandPaging = true
+			p.Audit = audit.Config{Enabled: true, SampleEvery: 1}
+			as := vm.New(vm.Config{Policy: core.PolicyFor(kind, 0.5), Seed: 1, PhysBytes: 256 << 20})
+			sim, err := core.NewSimulator(p, as)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sim.RunContext(context.Background(), s.Replay(), 20_000)
+			var v *audit.ViolationError
+			switch {
+			case err == nil:
+			case errors.As(err, &v):
+				t.Fatalf("%v: integrity violation: %v", kind, err)
+			case !errors.Is(err, physmem.ErrOutOfMemory) && !errors.Is(err, vm.ErrBadAddress):
+				t.Fatalf("%v: simulation error is not typed: %v", kind, err)
+			}
 		}
 	})
 }

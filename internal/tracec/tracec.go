@@ -176,8 +176,10 @@ func header(data []byte) (SegmentInfo, int, error) {
 	if err != nil {
 		return SegmentInfo{}, 0, err
 	}
-	if nb == 0 || refs == 0 {
-		return SegmentInfo{}, 0, corrupt("empty segment (%d blocks, %d refs)", nb, refs)
+	// A segment with no instructions could never consume a replay's
+	// budget: the simulation would spin forever.
+	if nb == 0 || refs == 0 || instrs == 0 {
+		return SegmentInfo{}, 0, corrupt("empty segment (%d blocks, %d refs, %d instrs)", nb, refs, instrs)
 	}
 	const maxBlocks = 1 << 32
 	if nb > maxBlocks || refs > uint64(nb)*blockRefs {

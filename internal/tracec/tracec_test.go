@@ -332,6 +332,15 @@ func TestIngest(t *testing.T) {
 	if _, _, err := Ingest(mut); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("damaged segment: err = %v, want ErrSegmentCorrupt", err)
 	}
+	// A pre-compiled segment without a single instruction: replaying it
+	// would never consume a budget.
+	idle, _, err := EncodeRefs([]trace.Ref{{VA: 4096, Instrs: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Ingest(idle); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("instruction-free segment: err = %v, want ErrSegmentCorrupt", err)
+	}
 }
 
 func postTrace(t *testing.T, ts *httptest.Server, body []byte, gzipped bool) (*http.Response, []byte) {

@@ -21,6 +21,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -29,6 +30,12 @@ import (
 	"xlate/internal/physmem"
 	"xlate/internal/rmm"
 )
+
+// ErrBadAddress marks a demand fault at an address the four-level page
+// tables cannot translate: one with bits set above bit 47. Externally
+// ingested traces can carry such addresses; they fail the cell instead
+// of crashing the simulator.
+var ErrBadAddress = errors.New("vm: address outside the 48-bit virtual address space")
 
 // Policy selects how the OS backs memory.
 type Policy struct {
@@ -368,6 +375,9 @@ func (as *AddressSpace) BreakHugePages(reg Region) (int, error) {
 func (as *AddressSpace) EnsureMapped(va addr.VA) (bool, error) {
 	if _, ok := as.pt.Lookup(va); ok {
 		return false, nil
+	}
+	if uint64(va)>>48 != 0 {
+		return false, fmt.Errorf("vm: demand fault at %#x: %w", uint64(va), ErrBadAddress)
 	}
 	base := addr.VA(addr.AlignDown(uint64(va), addr.Bytes2M))
 	as.curCoverage = as.policy.THPCoverage
