@@ -229,7 +229,8 @@ soak:
 # (1) Compile-once-replay-many is invisible: the reduced fig2 suite run
 # entirely from compiled segments renders the committed cluster golden
 # byte for byte. (2) External ingestion is first-class: record an mcf
-# reference trace, ship it gzip-compressed into a 2-worker dev
+# reference trace, replay it through `eeatsim -replay` (the CLI's
+# recorded-trace path), ship it gzip-compressed into a 2-worker dev
 # cluster's POST /v1/traces endpoint, and run the registered
 # trace:<key> workload through cluster dispatch — workers pull the
 # segment from the coordinator by content hash — with the report
@@ -246,13 +247,16 @@ trace-smoke:
 	$(GO) build -o eeatd-bin ./cmd/eeatd
 	./eeatsim-bin -workload mcf -scale 0.1 -seed 7 \
 		-record trace-smoke.xltrace -record-refs 200000
+	./eeatsim-bin -replay trace-smoke.xltrace -config THP -instrs 400000 -seed 7 > trace-eeatsim.out
+	grep -q 'replayed 200000-reference trace' trace-eeatsim.out \
+		|| { echo "trace-smoke: eeatsim -replay did not replay the recorded trace:" >&2; cat trace-eeatsim.out >&2; exit 1; }
 	./eeatd-bin -cluster 2 -exp "" -instrs 400000 -scale 0.1 -seed 7 \
 		-trace-store trace-smoke-dev -ingest trace-smoke.xltrace > trace-ingest.out
 	diff $(TRACE_GOLDEN) trace-ingest.out \
 		|| { echo "trace-smoke: ingested-trace report diverged from its golden" >&2; exit 1; }
 	rm -rf eeatsim-bin eeatd-bin trace-smoke-store trace-smoke-dev \
-		trace-smoke.xltrace trace-replay.out trace-ingest.out
-	@echo "trace-smoke: compiled replay byte-identical; ingested trace ran end to end through the cluster"
+		trace-smoke.xltrace trace-replay.out trace-ingest.out trace-eeatsim.out
+	@echo "trace-smoke: compiled replay byte-identical; recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster"
 
 # Profile a reduced-scale run and print the hottest ten functions.
 # cpu.prof is left behind for `go tool pprof -http` exploration.

@@ -42,8 +42,8 @@ type clusterOpts struct {
 	golden     string
 	fanout     int
 	minWorkers int
-	traceDir   string // -trace-store: enables the trace subsystem
-	ingest     string // dev mode: trace file to ingest and run
+	sim        *obsflags.Sim // -trace-store enables the trace subsystem
+	ingest     string        // dev mode: trace file to ingest and run
 	logf       func(string, ...any)
 	obs        *obsflags.Flags
 }
@@ -56,9 +56,6 @@ type clusterOpts struct {
 // covers the coordinator and every worker. status feeds the optional
 // -status-addr server's /status.
 func (o clusterOpts) startObs(status func() any) (*obsflags.Session, error) {
-	if o.obs == nil {
-		o.obs = &obsflags.Flags{}
-	}
 	return o.obs.Start(status, o.logf)
 }
 
@@ -103,7 +100,7 @@ func runDevCluster(o clusterOpts) int {
 			return 2
 		}
 	}
-	if o.ingest != "" && o.traceDir == "" {
+	if o.ingest != "" && o.sim.TraceStore == "" {
 		o.logf("-ingest needs -trace-store")
 		return 2
 	}
@@ -142,7 +139,7 @@ func runDevCluster(o clusterOpts) int {
 		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
 		Journal:          o.journal,
 		Chaos:            dirs,
-		TraceDir:         o.traceDir,
+		TraceDir:         o.sim.TraceStore,
 		Registry:         sess.Registry,
 		Tracer:           sess.Tracer,
 		Logf:             o.logf,
@@ -262,14 +259,10 @@ func runCoordinator(o clusterOpts) int {
 		return 2
 	}
 	defer sess.Close() //nolint:errcheck // exit path; close errors already logged
-	var traces *tracec.Executor
-	if o.traceDir != "" {
-		store, terr := tracec.OpenStore(o.traceDir, 0, 0)
-		if terr != nil {
-			o.logf("%v", terr)
-			return 2
-		}
-		traces = &tracec.Executor{Store: store, Logf: o.logf}
+	traces, err := o.sim.Executor(o.logf)
+	if err != nil {
+		o.logf("%v", err)
+		return 2
 	}
 	coord, err = cluster.NewCoordinator(cluster.Config{
 		CellWorkers:      o.fanout,

@@ -57,7 +57,6 @@ import (
 	"xlate/internal/obsflags"
 	"xlate/internal/service"
 	"xlate/internal/service/cluster"
-	"xlate/internal/tracec"
 )
 
 func main() { os.Exit(run()) }
@@ -96,11 +95,10 @@ func run() int {
 		golden    = flag.String("golden", "", "soak: report file every suite must match byte-for-byte (default: suites compared to each other)")
 		loadOut   = flag.String("load-out", "", "cluster dev mode: write the measured load report (throughput, p50/p95/p99 latency) as JSON to this file")
 
-		traceDir  = flag.String("trace-store", "", "segment store directory: enables POST /v1/traces ingestion and trace:<key> workloads (DESIGN.md §15)")
-		traceUp   = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
-		compileTr = flag.Bool("compile-traces", false, "compile model cells into trace segments once and replay them (requires -trace-store)")
-		ingest    = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
+		traceUp = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
+		ingest  = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
 	)
+	sim := obsflags.RegisterSim(true)
 	obs := obsflags.Register()
 	flag.Parse()
 
@@ -129,7 +127,7 @@ func run() int {
 			hbTimeout: *hbTimeout, hbEvery: *hbEvery,
 			journal: *journal, soak: *soakN, golden: *golden,
 			fanout: fanout, minWorkers: *minWk, logf: logf,
-			traceDir: *traceDir, ingest: *ingest,
+			sim: sim, ingest: *ingest,
 			obs: obs,
 		}
 		if *clusterN > 0 {
@@ -171,25 +169,18 @@ func run() int {
 		Registry:     sess.Registry,
 		Logf:         logf,
 	}
-	if *traceDir != "" {
-		store, terr := tracec.OpenStore(*traceDir, 0, 0)
-		if terr != nil {
-			logf("%v", terr)
-			sess.Close() //nolint:errcheck // exiting on the earlier error
-			return 2
-		}
-		scfg.TraceStore = store
-		scfg.CompileTraces = *compileTr
-		// A worker daemon fetches dispatched trace-backed cells' segments
-		// from its coordinator unless told otherwise.
-		scfg.TraceUpstream = *traceUp
-		if scfg.TraceUpstream == "" && *workerURL != "" {
-			scfg.TraceUpstream = strings.TrimRight(*workerURL, "/")
-		}
-	} else if *compileTr {
-		logf("-compile-traces needs -trace-store")
+	ex, err := sim.Executor(logf)
+	if err != nil {
+		logf("%v", err)
 		sess.Close() //nolint:errcheck // exiting on the earlier error
 		return 2
+	}
+	scfg.TraceStore, scfg.CompileTraces = ex.Store, ex.CompileModels
+	// A worker daemon fetches dispatched trace-backed cells' segments
+	// from its coordinator unless told otherwise.
+	scfg.TraceUpstream = *traceUp
+	if scfg.TraceUpstream == "" && *workerURL != "" {
+		scfg.TraceUpstream = strings.TrimRight(*workerURL, "/")
 	}
 	svc, err = service.New(scfg)
 	if err != nil {

@@ -25,20 +25,13 @@ import (
 	"syscall"
 
 	"xlate"
-	"xlate/internal/audit"
-	"xlate/internal/audit/inject"
 	"xlate/internal/core"
 	"xlate/internal/energy"
 	"xlate/internal/exper"
 	"xlate/internal/obsflags"
 	"xlate/internal/service"
 	"xlate/internal/service/client"
-	"xlate/internal/tracec"
 )
-
-// errUsage marks errors caused by bad invocation rather than a failed
-// run; main maps it to exit code 2.
-var errUsage = errors.New("invalid usage")
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -48,7 +41,7 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eeatsim:", err)
 		code = 1
-		if errors.Is(err, errUsage) {
+		if errors.Is(err, obsflags.ErrUsage) {
 			code = 2
 		}
 	}
@@ -68,20 +61,14 @@ func run(ctx context.Context, out *os.File) error {
 		replay   = flag.String("replay", "", "replay a recorded trace file instead of the workload generator")
 		nrecord  = flag.Int("record-refs", 1_000_000, "references to record with -record")
 		remote   = flag.String("remote", "", "offload the simulation to an eeatd daemon at this base URL (e.g. http://localhost:8080)")
-
-		compileTraces = flag.Bool("compile-traces", false, "compile the workload into a replayable trace segment (cached in -trace-store) and replay it instead of live synthesis")
-		traceStore    = flag.String("trace-store", "", "segment store directory for -compile-traces")
-
-		auditOn     = flag.Bool("audit", false, "attach the runtime integrity layer; a violation fails the run")
-		auditSample = flag.Uint64("audit-sample", audit.DefaultSampleEvery, "oracle sampling cadence: cross-check every Nth access (1 = every access)")
-		injectSpec  = flag.String("inject", "", `fault to inject: "kind" or "kind@refs" (flip-pfn, drop-inval, stale-range, skew-charge)`)
 	)
+	sim := obsflags.RegisterSim(false)
 	obs := obsflags.Register()
 	flag.Parse()
 
-	fault, err := inject.Parse(*injectSpec)
+	aud, fault, err := sim.Integrity()
 	if err != nil {
-		return fmt.Errorf("%v: %w", err, errUsage)
+		return err
 	}
 
 	if *list {
@@ -108,11 +95,11 @@ func run(ctx context.Context, out *os.File) error {
 		}
 	}
 	if !found {
-		return fmt.Errorf("unknown config %q: %w", *config, errUsage)
+		return fmt.Errorf("unknown config %q: %w", *config, obsflags.ErrUsage)
 	}
 	w, err := xlate.WorkloadByName(*workload)
 	if err != nil {
-		return fmt.Errorf("%v: %w", err, errUsage)
+		return fmt.Errorf("%v: %w", err, obsflags.ErrUsage)
 	}
 
 	// -remote offloads the cell to an eeatd daemon: same workload,
@@ -120,8 +107,8 @@ func run(ctx context.Context, out *os.File) error {
 	// server-side, so repeated invocations hit the daemon's
 	// content-addressed cache instead of re-simulating.
 	if *remote != "" {
-		if *record != "" || *replay != "" || *auditOn || *injectSpec != "" || *compileTraces || *traceStore != "" {
-			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject/-compile-traces/-trace-store: %w", errUsage)
+		if *record != "" || *replay != "" || sim.Audit || sim.Inject != "" || sim.CompileTraces || sim.TraceStore != "" {
+			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject/-compile-traces/-trace-store: %w", obsflags.ErrUsage)
 		}
 		c := client.New(*remote)
 		cr, _, err := c.RunCell(ctx, service.SubmitRequest{
@@ -138,6 +125,15 @@ func run(ctx context.Context, out *os.File) error {
 		source := fmt.Sprintf("%s via %s (cell %.12s…)", w.Name, *remote, cr.Key)
 		printResult(out, cr.Result, source, false)
 		return nil
+	}
+
+	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "eeatsim: "+f+"\n", args...) }
+	if sim.CompileTraces && *replay != "" {
+		return fmt.Errorf("-compile-traces cannot be combined with -replay: %w", obsflags.ErrUsage)
+	}
+	ex, err := sim.Executor(logf)
+	if err != nil {
+		return err
 	}
 
 	if *record != "" {
@@ -160,11 +156,9 @@ func run(ctx context.Context, out *os.File) error {
 		return nil
 	}
 
-	sess, err := obs.Start(nil, func(f string, args ...any) {
-		fmt.Fprintf(os.Stderr, "eeatsim: "+f+"\n", args...)
-	})
+	sess, err := obs.Start(nil, logf)
 	if err != nil {
-		return fmt.Errorf("%v: %w", err, errUsage)
+		return fmt.Errorf("%v: %w", err, obsflags.ErrUsage)
 	}
 	defer func() {
 		if cerr := sess.Close(); cerr != nil {
@@ -174,32 +168,12 @@ func run(ctx context.Context, out *os.File) error {
 
 	p := xlate.DefaultParams(kind)
 	p.SeriesIntervalInstrs = *interval
-	p.Audit = audit.Config{Enabled: *auditOn, SampleEvery: *auditSample}
+	p.Audit = aud
 	p.Fault = fault
 	p.Metrics = core.NewMetrics(sess.Registry)
 	p.Trace = sess.Tracer
 	var res xlate.Result
-	if *compileTraces {
-		if *replay != "" {
-			return fmt.Errorf("-compile-traces cannot be combined with -replay: %w", errUsage)
-		}
-		if *traceStore == "" {
-			return fmt.Errorf("-compile-traces needs -trace-store: %w", errUsage)
-		}
-		store, err := tracec.OpenStore(*traceStore, 0, 0)
-		if err != nil {
-			return err
-		}
-		ex := tracec.Executor{Store: store, CompileModels: true,
-			Logf: func(f string, args ...any) { fmt.Fprintf(os.Stderr, "eeatsim: "+f+"\n", args...) }}
-		res, err = ex.ExecuteJob(ctx, exper.Job{
-			Spec: w, Params: p, Policy: core.PolicyFor(kind, 0.5),
-			Instrs: *instrs, Scale: *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-	} else if *replay != "" {
+	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
 			return err
@@ -209,13 +183,21 @@ func run(ctx context.Context, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		res, err = xlate.ReplayTrace(refs, p, *instrs, xlate.RunOptions{Seed: *seed})
-		if err != nil {
+		if res, err = xlate.ReplayTrace(refs, p, *instrs, xlate.RunOptions{Seed: *seed}); err != nil {
+			if errors.Is(err, xlate.ErrInvalidParams) {
+				err = fmt.Errorf("%w: %w", err, obsflags.ErrUsage)
+			}
 			return err
 		}
 		fmt.Fprintf(out, "replayed %d-reference trace (%d demand faults)\n", len(refs), res.PageFaults)
 	} else {
-		res, err = xlate.RunParamsContext(ctx, w, p, *instrs, xlate.RunOptions{Seed: *seed, Scale: *scale})
+		if *seed == 0 {
+			*seed = 42 // the library's default seed
+		}
+		res, err = ex.ExecuteJob(ctx, exper.Job{
+			Spec: w, Params: p, Policy: core.PolicyFor(kind, 0.5),
+			Instrs: *instrs, Scale: *scale, Seed: *seed,
+		})
 		if err != nil {
 			return err
 		}
@@ -229,7 +211,7 @@ func run(ctx context.Context, out *os.File) error {
 	if *replay != "" {
 		source = "trace " + *replay
 	}
-	printResult(out, res, source, *auditOn)
+	printResult(out, res, source, sim.Audit)
 	return nil
 }
 

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"xlate"
 )
@@ -21,10 +24,14 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// eeatsim runs the command with args and returns its stdout and exit code.
+// eeatsim runs the command with args and returns its stdout and exit
+// code. A run that outlives two minutes is killed, so a hang fails the
+// test instead of stalling it.
 func eeatsim(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "EEATSIM_RUN_MAIN=1")
 	out, err := cmd.Output()
 	var exit *exec.ExitError
@@ -65,5 +72,38 @@ func TestRemoteRejectsLocalOnlyFlags(t *testing.T) {
 		if _, code := eeatsim(t, args...); code != 2 {
 			t.Errorf("eeatsim %s: exit %d, want 2", strings.Join(args, " "), code)
 		}
+	}
+}
+
+// TestTraceFlagsNeedEachOther pins both halves of the trace-flag pairing:
+// -compile-traces without a store has nowhere to keep segments, and a
+// store without -compile-traces is read by no cell of eeatsim. Both are
+// usage errors, checked before anything is simulated.
+func TestTraceFlagsNeedEachOther(t *testing.T) {
+	for _, flags := range [][]string{{"-compile-traces"}, {"-trace-store", t.TempDir()}} {
+		args := append([]string{"-workload", "mcf", "-scale", "0.1", "-instrs", "1"}, flags...)
+		if out, code := eeatsim(t, args...); code != 2 {
+			t.Errorf("eeatsim %s: exit %d, want 2\n%s", strings.Join(args, " "), code, out)
+		}
+	}
+}
+
+// TestReplayZeroInstructionTraceIsUsageError replays a recorded trace
+// whose references carry no instructions: it could never fill the
+// budget, so eeatsim must refuse it with exit 2 instead of spinning.
+func TestReplayZeroInstructionTraceIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idle.xltrace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xlate.WriteTrace(f, []xlate.Ref{{VA: 1 << 30}, {VA: 1<<30 + 64}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if out, code := eeatsim(t, "-replay", path, "-config", "THP", "-instrs", "1000"); code != 2 {
+		t.Errorf("eeatsim -replay of a zero-instruction trace: exit %d, want 2\n%s", code, out)
 	}
 }

@@ -34,13 +34,10 @@ import (
 	"syscall"
 
 	"xlate"
-	"xlate/internal/audit"
-	"xlate/internal/audit/inject"
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/harness"
 	"xlate/internal/obsflags"
-	"xlate/internal/tracec"
 )
 
 func main() { os.Exit(run()) }
@@ -60,19 +57,13 @@ func run() int {
 		resume  = flag.Bool("resume", false, "load completed cells from -checkpoint before running")
 		verbose = flag.Bool("v", false, "log harness progress to stderr")
 
-		auditOn     = flag.Bool("audit", false, "attach the runtime integrity layer to every cell; violations fail the cell")
-		auditSample = flag.Uint64("audit-sample", audit.DefaultSampleEvery, "oracle sampling cadence: cross-check every Nth access (1 = every access)")
-		injectSpec  = flag.String("inject", "", `fault to inject into every cell: "kind" or "kind@refs" (flip-pfn, drop-inval, stale-range, skew-charge)`)
-
 		progress = flag.Duration("progress", 0, "emit a progress line (cells done, ETA, aggregate MPKI) to stderr at this period, e.g. 10s (0 = off)")
-
-		compileTraces = flag.Bool("compile-traces", false, "compile each workload into a replayable trace segment once and replay it for every cell that shares it (requires -trace-store)")
-		traceStore    = flag.String("trace-store", "", "segment store directory for -compile-traces")
 	)
+	sim := obsflags.RegisterSim(false)
 	obs := obsflags.Register()
 	flag.Parse()
 
-	fault, err := inject.Parse(*injectSpec)
+	aud, fault, err := sim.Integrity()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		return 2
@@ -132,18 +123,10 @@ func run() int {
 		}
 	}()
 
-	var traces *tracec.Executor
-	if *compileTraces || *traceStore != "" {
-		if *traceStore == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -compile-traces needs -trace-store")
-			return 2
-		}
-		store, err := tracec.OpenStore(*traceStore, 0, 0)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 2
-		}
-		traces = &tracec.Executor{Store: store, CompileModels: *compileTraces, Logf: logf}
+	ex, err := sim.Executor(logf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 2
 	}
 
 	s := harness.New(harness.Config{
@@ -154,12 +137,12 @@ func run() int {
 		Resume:      *resume,
 		Options: exper.Options{
 			Instrs: *instrs, Scale: *scale, Seed: *seed,
-			Audit:   audit.Config{Enabled: *auditOn, SampleEvery: *auditSample},
+			Audit:   aud,
 			Inject:  fault,
 			Metrics: core.NewMetrics(sess.Registry),
 			Trace:   sess.Tracer,
 		},
-		Traces:        traces,
+		Execute:       ex.ExecuteJob,
 		Logf:          logf,
 		Registry:      sess.Registry,
 		ProgressEvery: *progress,

@@ -15,6 +15,7 @@ import (
 	"xlate/internal/core"
 	"xlate/internal/stats"
 	"xlate/internal/telemetry"
+	"xlate/internal/trace"
 	"xlate/internal/vm"
 	"xlate/internal/workloads"
 )
@@ -34,7 +35,7 @@ type Options struct {
 	// Runner, when non-nil, executes every simulation cell on behalf of
 	// the experiment. The harness installs recording and serving runners
 	// here to plan, parallelize, and memoize cells; nil runs each cell
-	// inline via ExecuteJob.
+	// inline via ExecuteJobContext.
 	Runner Runner
 	// Audit, when enabled, attaches the runtime integrity layer
 	// (internal/audit) to every cell's simulator; a violation fails the
@@ -138,29 +139,47 @@ func IDs() []string {
 	return out
 }
 
-// ExecuteJob builds and simulates one cell inline.
-func ExecuteJob(j Job) (core.Result, error) {
-	return ExecuteJobContext(context.Background(), j)
-}
-
 // ExecuteJobContext builds and simulates one cell, honouring context
 // cancellation between simulation strides.
 func ExecuteJobContext(ctx context.Context, j Job) (core.Result, error) {
-	as, gen, err := j.Spec.Build(workloads.BuildOptions{
-		Policy: j.Policy,
-		Seed:   j.Seed,
-		Scale:  j.Scale,
-	})
+	return RunModel(ctx, j, nil)
+}
+
+// RunModel simulates j on the address space its spec builds, driven by
+// src, or by the spec's own generator when src is nil. Like RunDemand,
+// a failed run returns its error with the partial Result.
+func RunModel(ctx context.Context, j Job, src trace.RefSource) (core.Result, error) {
+	as, gen, err := j.Spec.Build(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		return core.Result{}, fmt.Errorf("exper: building %s: %w", j.Spec.Name, err)
 	}
+	if src == nil {
+		src = gen
+	}
+	return simulate(ctx, j, as, src)
+}
+
+// RunDemand simulates j over src on a demand-paged address space of
+// physBytes (0 = 64 GiB): pages materialize on first touch, so a
+// recorded or ingested stream needs no model behind its addresses. The
+// caller checks the stream's pacing (trace.CheckReplayable).
+func RunDemand(ctx context.Context, j Job, src trace.RefSource, physBytes uint64) (core.Result, error) {
+	if physBytes == 0 {
+		physBytes = 64 << 30
+	}
+	j.Params.DemandPaging = true
+	return simulate(ctx, j, vm.New(vm.Config{Policy: j.Policy, Seed: j.Seed, PhysBytes: physBytes}), src)
+}
+
+// simulate is the one place a cell meets core.NewSimulator.
+func simulate(ctx context.Context, j Job, as *vm.AddressSpace, src trace.RefSource) (core.Result, error) {
 	sim, err := core.NewSimulator(j.Params, as)
 	if err != nil {
 		return core.Result{}, fmt.Errorf("exper: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
 	}
-	res, err := sim.RunContext(ctx, gen, j.Instrs)
+	res, err := sim.RunContext(ctx, src, j.Instrs)
 	if err != nil {
-		return core.Result{}, fmt.Errorf("exper: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
+		return res, fmt.Errorf("exper: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
 	}
 	return res, nil
 }
@@ -184,7 +203,7 @@ func runJob(j Job, opt Options) (core.Result, error) {
 	if opt.Runner != nil {
 		return opt.Runner.RunCell(j)
 	}
-	return ExecuteJob(j)
+	return ExecuteJobContext(context.Background(), j)
 }
 
 // runOne builds the workload under the policy matching the configuration

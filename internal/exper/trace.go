@@ -14,7 +14,8 @@ import (
 // workload is characterized. The cells are ordinary exper.Jobs with a
 // trace-backed spec, so they flow through the harness, the audit
 // oracle, and cluster dispatch unchanged; executing them requires a
-// trace executor (harness.Config.Traces or the cluster's).
+// tracec.Executor holding a segment store (passed as harness
+// Config.Execute, or the cluster's Config.Traces).
 func TraceExperiment(ref string) Experiment {
 	short := ref
 	if len(short) > 12 {

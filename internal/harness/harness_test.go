@@ -46,7 +46,7 @@ func runVia(opt exper.Options, j exper.Job) (core.Result, error) {
 	if opt.Runner != nil {
 		return opt.Runner.RunCell(j)
 	}
-	return exper.ExecuteJob(j)
+	return exper.ExecuteJobContext(context.Background(), j)
 }
 
 // cellExp is a test experiment rendering one row per job.

@@ -1,9 +1,12 @@
-// Package obsflags bundles the observability command-line surface
-// shared by the eeatsim and experiments binaries: event tracing
-// (-trace-out/-trace-sample), the live status endpoint (-status-addr),
-// and the profiling hooks (-cpuprofile/-memprofile/-pprof-addr). Both
-// binaries register the same flags and drive the same lifecycle, so the
-// observability story is identical whichever entry point a run uses.
+// Package obsflags bundles the command-line surface the binaries
+// share, so each flag is declared once. Register declares the
+// observability block: event tracing (-trace-out/-trace-sample), the
+// live status endpoint (-status-addr), and the profiling hooks
+// (-cpuprofile/-memprofile/-pprof-addr). RegisterSim declares the
+// simulation block (-trace-store, -compile-traces, -audit,
+// -audit-sample, -inject), checks how its flags combine, and builds the
+// per-cell tracec.Executor. Every binary drives the same lifecycle, so
+// a run behaves the same whichever entry point it uses.
 package obsflags
 
 import (

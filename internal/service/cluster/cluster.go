@@ -87,12 +87,12 @@ type Config struct {
 	// Registry receives cluster metrics (required for /metrics; nil
 	// creates a private registry).
 	Registry *telemetry.Registry
-	// Traces, when set, is the coordinator's trace executor: its segment
-	// store backs the /v1/traces ingestion+fetch endpoints on the
-	// control plane (workers fetch dispatched trace-backed cells' segments
-	// from here by content hash), and the local-fallback path replays
-	// through it. Required to run trace-backed cells; model suites run
-	// without it.
+	// Traces is the coordinator's executor for the local-fallback path
+	// (default: the zero tracec.Executor, which runs model cells live).
+	// Its segment store, when set, backs the /v1/traces ingestion+fetch
+	// endpoints on the control plane: workers fetch dispatched
+	// trace-backed cells' segments from here by content hash. Required
+	// to run trace-backed cells; model suites run without one.
 	Traces *tracec.Executor
 	// Tracer, when set, records the distributed cell trace: one track
 	// per cell with coordinator-side spans (cell, dispatch, federation
@@ -124,6 +124,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
+	}
+	if c.Traces == nil {
+		c.Traces = &tracec.Executor{}
 	}
 	if c.NewWorkerClient == nil {
 		retry := c.Retry

@@ -87,7 +87,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if c.cfg.Traces != nil && c.cfg.Traces.Store != nil {
+	if c.cfg.Traces.Store != nil {
 		// Trace ingestion on the control plane (DESIGN.md §15): streams
 		// ingested here become "trace:<key>" workloads, and workers fetch
 		// dispatched trace-backed cells' segments from this store by

@@ -28,7 +28,7 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/results/", s.handleResult)
 	mux.HandleFunc("/v1/experiments", s.handleExperiments)
-	if s.traces != nil {
+	if s.cfg.TraceStore != nil {
 		// Trace ingestion + content-hash fetch (DESIGN.md §15). Mounted
 		// only when a segment store exists — without one the endpoints
 		// would accept streams they cannot replay.
@@ -56,7 +56,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  GET  /v1/jobs/{id}/log   stream the job's progress log")
 	fmt.Fprintln(w, "  GET  /v1/results/{key}   cached result payload (content-addressed)")
 	fmt.Fprintln(w, "  GET  /v1/experiments     the experiment catalogue")
-	if s.traces != nil {
+	if s.cfg.TraceStore != nil {
 		fmt.Fprintln(w, "  POST /v1/traces          ingest a reference stream (gzip ok) → trace:<key> workload")
 		fmt.Fprintln(w, "  GET  /v1/traces/{key}    fetch a compiled segment by content hash")
 	}

@@ -96,12 +96,12 @@ type Config struct {
 // Server is the daemon: a bounded job queue, a worker pool, the result
 // cache, and the HTTP API over them.
 type Server struct {
-	cfg    Config
-	m      *metrics
-	cache  *resultCache
-	mux    *http.ServeMux
-	start  time.Time        // span timestamp base (Config.Tracer)
-	traces *tracec.Executor // nil unless Config.TraceStore was set
+	cfg   Config
+	m     *metrics
+	cache *resultCache
+	mux   *http.ServeMux
+	start time.Time        // span timestamp base (Config.Tracer)
+	exec  *tracec.Executor // runs every cell; replays need Config.TraceStore
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
@@ -185,15 +185,9 @@ func New(cfg Config) (*Server, error) {
 		execStats: make(map[string]execRecord),
 		queue:     make(chan *job, cfg.MaxQueue),
 	}
-	if cfg.TraceStore != nil {
-		s.traces = &tracec.Executor{
-			Store:         cfg.TraceStore,
-			CompileModels: cfg.CompileTraces,
-			Logf:          cfg.Logf,
-		}
-		if cfg.TraceUpstream != "" {
-			s.traces.Fetch = tracec.HTTPFetcher(cfg.TraceUpstream, nil)
-		}
+	s.exec = &tracec.Executor{Store: cfg.TraceStore, CompileModels: cfg.CompileTraces, Logf: cfg.Logf}
+	if cfg.TraceStore != nil && cfg.TraceUpstream != "" {
+		s.exec.Fetch = tracec.HTTPFetcher(cfg.TraceUpstream, nil)
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	s.mux = s.routes()
@@ -220,7 +214,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // with.
 func (s *Server) submit(req SubmitRequest) (JobStatus, int) {
 	s.m.submitted.Inc()
-	r, err := resolve(req, cellDefaults{maxInstrs: s.cfg.MaxInstrs, traces: s.traces != nil})
+	r, err := resolve(req, cellDefaults{maxInstrs: s.cfg.MaxInstrs, traces: s.cfg.TraceStore != nil})
 	if err != nil {
 		s.m.rejected.Inc()
 		return JobStatus{State: StateFailed, Error: err.Error()}, http.StatusBadRequest
@@ -401,15 +395,7 @@ func (s *Server) execute(j *job) (payload []byte, err error) {
 	}()
 	switch j.kind {
 	case kindCell:
-		var res core.Result
-		if s.traces != nil {
-			// The trace executor handles all three cell shapes: ingested
-			// replays (required), compiled model replays (CompileTraces),
-			// and live synthesis passthrough.
-			res, err = s.traces.ExecuteJob(s.runCtx, j.res.cell)
-		} else {
-			res, err = exper.ExecuteJobContext(s.runCtx, j.res.cell)
-		}
+		res, err := s.exec.ExecuteJob(s.runCtx, j.res.cell)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +421,7 @@ func (s *Server) executeExperiment(j *job) ([]byte, error) {
 	hcfg := harness.Config{
 		Workers:  s.cfg.CellWorkers,
 		Options:  j.res.opt,
-		Traces:   s.traces,
+		Execute:  s.exec.ExecuteJob,
 		Registry: s.cfg.Registry,
 		Logf: func(format string, args ...any) {
 			j.log.append(fmt.Sprintf(format, args...))

@@ -150,7 +150,7 @@ func TestSingleflightDedupAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exper.ExecuteJob(r.cell)
+	res, err := exper.ExecuteJobContext(context.Background(), r.cell)
 	if err != nil {
 		t.Fatal(err)
 	}

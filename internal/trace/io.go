@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -137,6 +138,21 @@ type Replay struct {
 	pos  int
 	// Laps counts completed passes over the trace.
 	Laps int
+}
+
+// CheckReplayable is the pacing rule for recorded and ingested streams:
+// a replay loops until the instruction budget is spent, so the stream
+// must be non-empty and every reference must carry an instruction.
+func CheckReplayable(refs []Ref) error {
+	if len(refs) == 0 {
+		return errors.New("empty trace")
+	}
+	for i, r := range refs {
+		if r.Instrs == 0 {
+			return fmt.Errorf("record %d carries zero instructions (pacing invariant: every reference advances the budget)", i)
+		}
+	}
+	return nil
 }
 
 // NewReplay wraps recorded references. The slice must be non-empty and

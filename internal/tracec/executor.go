@@ -9,27 +9,31 @@ import (
 
 	"xlate/internal/core"
 	"xlate/internal/exper"
-	"xlate/internal/vm"
 	"xlate/internal/workloads"
 )
 
-// Executor runs simulation cells from compiled trace segments. It is
-// the drop-in per-cell executor the harness (Config.Traces), the
-// service daemon, and the cluster coordinator plug in:
+// Executor is the one per-cell executor: the harness (Config.Execute),
+// the service daemon, and the cluster coordinator's local fallback all
+// run their cells through ExecuteJob. Every path ends in one of exper's
+// two run helpers; the cell shape only decides the reference source:
 //
 //   - Cells whose spec is trace-backed (Spec.TraceRef) replay an
-//     ingested segment from the Store, fetching it by content hash from
-//     the upstream (coordinator) on a local miss. These cells cannot run
-//     without an Executor — workloads.Spec.Build refuses them.
+//     ingested segment from the Store on a demand-paged space
+//     (exper.RunDemand), fetching it by content hash from the upstream
+//     (coordinator) on a local miss. These cells need a Store —
+//     workloads.Spec.Build refuses them.
 //   - Model cells compile-once-replay-many when CompileModels is set:
 //     the first cell for a (spec, policy, seed, scale, budget) tuple
 //     compiles the segment (singleflight), every later cell — including
-//     Params sweeps over the same workload — replays it. Reports stay
-//     byte-identical to live synthesis (see CompileSpec).
-//   - Model cells fall through to exper.ExecuteJobContext when model
-//     compilation is off.
+//     Params sweeps over the same workload — replays it on the
+//     model-built space (exper.RunModel). Reports stay byte-identical to
+//     live synthesis (see CompileSpec).
+//   - Otherwise model cells synthesize live (exper.ExecuteJobContext).
+//
+// The zero Executor therefore runs model cells live and refuses
+// trace-backed ones, so a holder never needs a nil check.
 type Executor struct {
-	// Store holds the segments. Required.
+	// Store holds the segments (nil: no compiled or ingested cells).
 	Store *Store
 	// CompileModels turns on compile-once-replay-many for model cells
 	// (the -compile-traces flag).
@@ -109,8 +113,7 @@ func (e *Executor) ExecuteJob(ctx context.Context, j exper.Job) (core.Result, er
 }
 
 // replayModel is the compile-once-replay-many path: look up (or
-// compile) the spec's segment, rebuild the address space exactly as a
-// live run would, and stream the segment through the simulator.
+// compile) the spec's segment and replay it on the model-built space.
 func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, error) {
 	bopt := workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}
 	key := Key(j.Spec, bopt, j.Instrs)
@@ -128,29 +131,15 @@ func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, e
 	if err != nil {
 		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
 	}
-	rp := seg.Replay()
-	// Build the identical address space a live run constructs; only the
-	// reference source differs, and the compiled stream is the exact
-	// prefix the generator would yield — so the Result is identical.
-	as, _, err := j.Spec.Build(bopt)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: building %s: %w", j.Spec.Name, err)
-	}
-	sim, err := core.NewSimulator(j.Params, as)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
-	}
-	res, err := sim.RunContext(ctx, rp, j.Instrs)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
-	}
-	return res, nil
+	// The compiled stream is the exact prefix the generator would
+	// yield, so on the space the spec builds the Result is the live one.
+	return exper.RunModel(ctx, j, seg.Replay())
 }
 
 // replayIngested runs a trace-backed cell: an externally ingested
 // reference stream replayed under demand paging (the stream's virtual
 // addresses mean nothing to the eager-paging policy model, so pages
-// materialize on first touch — the same path xlate.ReplayTrace takes
+// materialize on first touch — the same helper xlate.ReplayTrace uses
 // for recorded traces). A short trace wraps until the budget is met.
 func (e *Executor) replayIngested(ctx context.Context, j exper.Job) (core.Result, error) {
 	if e.Store == nil {
@@ -171,19 +160,7 @@ func (e *Executor) replayIngested(ctx context.Context, j exper.Job) (core.Result
 	if err != nil {
 		return core.Result{}, fmt.Errorf("tracec: %s: %w", j.Spec.Name, err)
 	}
-	rp := seg.Replay()
-	p := j.Params
-	p.DemandPaging = true
-	as := vm.New(vm.Config{Policy: j.Policy, Seed: j.Seed, PhysBytes: 64 << 30})
-	sim, err := core.NewSimulator(p, as)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, p.Kind, err)
-	}
-	res, err := sim.RunContext(ctx, rp, j.Instrs)
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, p.Kind, err)
-	}
-	return res, nil
+	return exper.RunDemand(ctx, j, seg.Replay(), 0)
 }
 
 // HTTPFetcher returns a Fetch func that retrieves segments from base's

@@ -6,13 +6,16 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"xlate/internal/addr"
 	"xlate/internal/audit"
 	"xlate/internal/core"
+	"xlate/internal/exper"
 	"xlate/internal/physmem"
 	"xlate/internal/trace"
 	"xlate/internal/vm"
+	"xlate/internal/workloads"
 )
 
 // FuzzSegmentDecode is the decoder's robustness contract: for arbitrary
@@ -90,29 +93,17 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// FuzzSimulateTrace drives arbitrary bytes down the external-trace
-// path end to end: Ingest, Validate, then a short demand-paged
-// simulation with every access audited, under a split-L1 config (THP)
-// and a range config (RMM). Every input must end in a clean Result or
-// a typed error — a rejected stream, a demand fault the address space
-// cannot back, or an address beyond 48 bits — never a panic or an
-// integrity violation. Run
-// continuously with `make fuzz`.
+// FuzzSimulateTrace drives arbitrary bytes down both trace paths end to
+// end, each into a short demand-paged simulation (exper.RunDemand) with
+// every access audited, under a split-L1 config (THP) and a range config
+// (RMM): the recorded-trace path xlate.ReplayTrace takes (decode, then
+// the trace.CheckReplayable pacing rule) and the ingestion path (Ingest,
+// Validate). Every input must end in a clean Result or a typed error —
+// a rejected stream, a demand fault the address space cannot back, or an
+// address beyond 48 bits — never a panic, an integrity violation, or a
+// replay that outlives its deadline. Run continuously with `make fuzz`.
 func FuzzSimulateTrace(f *testing.F) {
-	var rec bytes.Buffer
-	w, err := trace.NewWriter(&rec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, r := range synthRefs(64, 3) {
-		if err := w.Write(r); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(rec.Bytes())
+	f.Add(recordRefs(f, synthRefs(64, 3)))
 	seg, _, err := EncodeRefs(synthRefs(40, 5))
 	if err != nil {
 		f.Fatal(err)
@@ -130,10 +121,14 @@ func FuzzSimulateTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(idle)
+	f.Add(recordRefs(f, []trace.Ref{{VA: 1 << 30, Instrs: 0}, {VA: 1<<30 + 64, Instrs: 0}}))
 	f.Add([]byte("XLTRACE1\n"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if refs, err := trace.ReadAll(bytes.NewReader(data)); err == nil && trace.CheckReplayable(refs) == nil {
+			simulateFuzzed(t, "recorded", func() trace.RefSource { return trace.NewReplay(refs) })
+		}
 		seg, _, err := Ingest(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadTrace) && !errors.Is(err, ErrSegmentCorrupt) {
@@ -145,24 +140,41 @@ func FuzzSimulateTrace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Ingest accepted a segment Validate refuses: %v", err)
 		}
-		for _, kind := range []core.ConfigKind{core.CfgTHP, core.CfgRMM} {
-			p := core.DefaultParams(kind)
-			p.DemandPaging = true
-			p.Audit = audit.Config{Enabled: true, SampleEvery: 1}
-			as := vm.New(vm.Config{Policy: core.PolicyFor(kind, 0.5), Seed: 1, PhysBytes: 256 << 20})
-			sim, err := core.NewSimulator(p, as)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = sim.RunContext(context.Background(), s.Replay(), 20_000)
-			var v *audit.ViolationError
-			switch {
-			case err == nil:
-			case errors.As(err, &v):
-				t.Fatalf("%v: integrity violation: %v", kind, err)
-			case !errors.Is(err, physmem.ErrOutOfMemory) && !errors.Is(err, vm.ErrBadAddress):
-				t.Fatalf("%v: simulation error is not typed: %v", kind, err)
-			}
-		}
+		simulateFuzzed(t, "ingested", func() trace.RefSource { return s.Replay() })
 	})
+}
+
+// recordRefs encodes refs in the XLTRACE1 format eeatsim -record writes.
+func recordRefs(f *testing.F, refs []trace.Ref) []byte {
+	var rec bytes.Buffer
+	if err := trace.WriteAll(&rec, refs); err != nil {
+		f.Fatal(err)
+	}
+	return rec.Bytes()
+}
+
+// simulateFuzzed runs a fresh stream from src for 20 k instructions on
+// 256 MiB of demand-paged memory under THP and RMM, every access audited,
+// and fails on anything but a clean Result or a typed error.
+func simulateFuzzed(t *testing.T, path string, src func() trace.RefSource) {
+	for _, kind := range []core.ConfigKind{core.CfgTHP, core.CfgRMM} {
+		p := core.DefaultParams(kind)
+		p.Audit = audit.Config{Enabled: true, SampleEvery: 1}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := exper.RunDemand(ctx, exper.Job{
+			Spec: workloads.Spec{Name: path}, Params: p,
+			Policy: core.PolicyFor(kind, 0.5), Instrs: 20_000, Seed: 1,
+		}, src(), 256<<20)
+		cancel()
+		var v *audit.ViolationError
+		switch {
+		case err == nil:
+		case errors.As(err, &v):
+			t.Fatalf("%s %v: integrity violation: %v", path, kind, err)
+		case errors.Is(err, context.DeadlineExceeded):
+			t.Fatalf("%s %v: replay did not reach its budget: %v", path, kind, err)
+		case !errors.Is(err, physmem.ErrOutOfMemory) && !errors.Is(err, vm.ErrBadAddress):
+			t.Fatalf("%s %v: simulation error is not typed: %v", path, kind, err)
+		}
+	}
 }

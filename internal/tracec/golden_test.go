@@ -45,7 +45,7 @@ func TestReplayByteIdentity(t *testing.T) {
 		Workers: 4,
 		// The golden's committed configuration (`make cluster`).
 		Options:  exper.Options{Instrs: 400_000, Scale: 0.1, Seed: 7},
-		Traces:   &tracec.Executor{Store: store, CompileModels: true, Logf: t.Logf},
+		Execute:  (&tracec.Executor{Store: store, CompileModels: true, Logf: t.Logf}).ExecuteJob,
 		Registry: reg,
 	})
 	results, err := s.Run(context.Background(), []exper.Experiment{fig2})

@@ -215,9 +215,10 @@ func (a *API) serveSegment(w http.ResponseWriter, r *http.Request, key string) {
 // format (XLTRACE1 varint records — what `eeatsim -record` writes) and
 // an already-compiled XLSEGv1 segment. Validation is strict with typed
 // errors: malformed records wrap ErrBadTrace, damaged segments wrap
-// ErrSegmentCorrupt. Every reference must carry at least one
-// instruction — the generator's pacing invariant — or a replay could
-// spin without consuming budget.
+// ErrSegmentCorrupt. Decoded records must pass trace.CheckReplayable,
+// the pacing rule xlate.ReplayTrace applies too: every reference
+// carries at least one instruction, or a replay could spin without
+// consuming budget.
 func Ingest(data []byte) ([]byte, SegmentInfo, error) {
 	switch {
 	case len(data) >= len(segMagic) && bytes.Equal(data[:len(segMagic)], segMagic):
@@ -256,13 +257,10 @@ func decodeExternal(data []byte) ([]trace.Ref, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tracec: %w: record %d: %v", ErrBadTrace, len(refs), err)
 		}
-		if r.Instrs == 0 {
-			return nil, fmt.Errorf("tracec: %w: record %d carries zero instructions (pacing invariant: every reference advances the budget)", ErrBadTrace, len(refs))
-		}
 		refs = append(refs, r)
 	}
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("tracec: %w: empty trace", ErrBadTrace)
+	if err := trace.CheckReplayable(refs); err != nil {
+		return nil, fmt.Errorf("tracec: %w: %v", ErrBadTrace, err)
 	}
 	return refs, nil
 }

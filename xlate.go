@@ -27,7 +27,6 @@ import (
 	"xlate/internal/exper"
 	"xlate/internal/stats"
 	"xlate/internal/trace"
-	"xlate/internal/vm"
 	"xlate/internal/workloads"
 )
 
@@ -145,29 +144,19 @@ func RunParams(w Workload, p Params, instrs uint64, opt RunOptions) (Result, err
 }
 
 // RunParamsContext is RunParams with cooperative cancellation: the
-// simulator polls ctx between strides of references and returns
-// ctx.Err() with the partial result discarded.
+// simulator polls ctx between strides of references and returns an
+// error wrapping ctx.Err() with the partial Result.
 func RunParamsContext(ctx context.Context, w Workload, p Params, instrs uint64, opt RunOptions) (Result, error) {
-	if opt.Seed == 0 {
-		opt.Seed = 42
+	return exper.ExecuteJobContext(ctx, opt.job(w, p, instrs))
+}
+
+// job is the cell the facade runs: the workload built under the
+// configuration's OS policy, with the seed-42 default applied.
+func (o RunOptions) job(w Workload, p Params, instrs uint64) exper.Job {
+	if o.Seed == 0 {
+		o.Seed = 42
 	}
-	as, gen, err := w.Build(workloads.BuildOptions{
-		Policy: core.PolicyFor(p.Kind, 0.5),
-		Seed:   opt.Seed,
-		Scale:  opt.Scale,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	sim, err := core.NewSimulator(p, as)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sim.RunContext(ctx, gen, instrs)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return exper.Job{Spec: w, Params: p, Policy: core.PolicyFor(p.Kind, 0.5), Instrs: instrs, Scale: o.Scale, Seed: o.Seed}
 }
 
 // RunMulticore simulates a multi-threaded process: one address space,
@@ -175,19 +164,12 @@ func RunParamsContext(ctx context.Context, w Workload, p Params, instrs uint64, 
 // (decorrelated seeds). It returns the per-core results and their
 // aggregate. Deterministic regardless of goroutine scheduling.
 func RunMulticore(w Workload, cfg Config, cores int, instrsPerCore uint64, opt RunOptions) ([]Result, Result, error) {
-	if opt.Seed == 0 {
-		opt.Seed = 42
-	}
-	p := DefaultParams(cfg)
-	as, gens, err := w.BuildThreads(workloads.BuildOptions{
-		Policy: core.PolicyFor(cfg, 0.5),
-		Seed:   opt.Seed,
-		Scale:  opt.Scale,
-	}, cores)
+	j := opt.job(w, DefaultParams(cfg), instrsPerCore)
+	as, gens, err := w.BuildThreads(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, cores)
 	if err != nil {
 		return nil, Result{}, err
 	}
-	m, err := core.NewMulticore(p, as, cores)
+	m, err := core.NewMulticore(j.Params, as, cores)
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -235,11 +217,8 @@ func ReadTrace(r io.Reader) ([]Ref, error) { return trace.ReadAll(r) }
 // RecordTrace runs a workload's generator for n references and returns
 // them, e.g. to serialize with WriteTrace for later replay.
 func RecordTrace(w Workload, cfg Config, n int, opt RunOptions) ([]Ref, error) {
-	if opt.Seed == 0 {
-		opt.Seed = 42
-	}
-	_, gen, err := w.Build(workloads.BuildOptions{
-		Policy: core.PolicyFor(cfg, 0.5), Seed: opt.Seed, Scale: opt.Scale})
+	j := opt.job(w, DefaultParams(cfg), 0)
+	_, gen, err := w.Build(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		return nil, err
 	}
@@ -254,26 +233,21 @@ func RecordTrace(w Workload, cfg Config, n int, opt RunOptions) ([]Ref, error) {
 // the trace as needed to fill the instruction budget). The address
 // space is demand-paged under the configuration's OS policy, so traces
 // recorded anywhere — including from real programs — can be replayed.
-// A trace that touches more 2 MB chunks than the 64 GiB of simulated
+// A trace that is empty or has a reference carrying zero instructions
+// (it could never fill the budget) is refused with ErrInvalidParams. A
+// trace that touches more 2 MB chunks than the 64 GiB of simulated
 // physical memory can back fails with an error wrapping the allocator's
 // out-of-memory error, returned with the partial Result.
 func ReplayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions) (Result, error) {
-	return replayTrace(refs, p, instrs, opt, 64<<30)
+	return replayTrace(refs, p, instrs, opt, 0)
 }
 
-// replayTrace is ReplayTrace over physBytes of simulated physical memory.
+// replayTrace is ReplayTrace over physBytes of simulated physical memory
+// (0 = 64 GiB).
 func replayTrace(refs []Ref, p Params, instrs uint64, opt RunOptions, physBytes uint64) (Result, error) {
-	if len(refs) == 0 {
-		return Result{}, fmt.Errorf("xlate: %w: empty trace", ErrInvalidParams)
+	if err := trace.CheckReplayable(refs); err != nil {
+		return Result{}, fmt.Errorf("xlate: %w: %v", ErrInvalidParams, err)
 	}
-	if opt.Seed == 0 {
-		opt.Seed = 42
-	}
-	p.DemandPaging = true
-	as := vm.New(vm.Config{Policy: core.PolicyFor(p.Kind, 0.5), Seed: opt.Seed, PhysBytes: physBytes})
-	sim, err := core.NewSimulator(p, as)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunContext(context.Background(), trace.NewReplay(refs), instrs)
+	j := opt.job(Workload{Name: "trace"}, p, instrs)
+	return exper.RunDemand(context.Background(), j, trace.NewReplay(refs), physBytes)
 }

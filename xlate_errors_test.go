@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"xlate"
 	"xlate/internal/addr"
@@ -126,6 +127,28 @@ func TestReplayTraceOutOfMemoryIsError(t *testing.T) {
 		if res.MemRefs == 0 || res.MemRefs >= uint64(len(refs)) {
 			t.Errorf("%v: partial result covers %d refs, want the refs up to the failing fault", cfg, res.MemRefs)
 		}
+	}
+}
+
+// TestReplayTraceZeroInstructionsIsInvalid pins the pacing rule on the
+// recorded-trace path: a trace whose references carry no instructions
+// can never fill the budget, so ReplayTrace must refuse it with
+// ErrInvalidParams instead of spinning. The deadline turns a
+// regression into a failure rather than a hung test binary.
+func TestReplayTraceZeroInstructionsIsInvalid(t *testing.T) {
+	refs := []xlate.Ref{{VA: 1 << 30, Instrs: 0}, {VA: 1<<30 + 64, Instrs: 0}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := xlate.ReplayTrace(refs, xlate.DefaultParams(xlate.CfgTHP), 1000, xlate.RunOptions{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, xlate.ErrInvalidParams) {
+			t.Fatalf("ReplayTrace(zero-instruction trace) = %v, want ErrInvalidParams", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ReplayTrace(zero-instruction trace) did not return within 10s")
 	}
 }
 
