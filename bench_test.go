@@ -6,6 +6,7 @@
 package xlate_test
 
 import (
+	"context"
 	"testing"
 
 	"xlate/internal/core"
@@ -71,4 +72,45 @@ func BenchmarkTraceReplaySegment(b *testing.B) {
 		}
 		b.ReportMetric(float64(refs), "refs/op")
 	}
+}
+
+// BenchmarkReplayCell is one compiled replay cell end to end through
+// the simulator loop: NewSimulator, then RunContext over
+// Segment.Replay (mcf under TLB_Lite at scale 0.1). Unlike the
+// BenchmarkAccess* benches, which call Access directly, it runs the
+// block-wise RunContext loop and the segment's decode-ahead.
+func BenchmarkReplayCell(b *testing.B) {
+	spec, ok := workloads.ByName("mcf")
+	if !ok {
+		b.Fatal("no mcf workload")
+	}
+	const budget = 2_000_000
+	bopt := workloads.BuildOptions{Policy: core.PolicyFor(core.CfgTLBLite, 0.5), Seed: 42, Scale: 0.1}
+	data, _, err := tracec.CompileSpec(spec, bopt, budget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seg, err := tracec.Validate(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, _, err := spec.Build(bopt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := core.DefaultParams(core.CfgTLBLite)
+	var refs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, err := core.NewSimulator(p, as)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.RunContext(context.Background(), seg.Replay(), budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs += res.MemRefs
+	}
+	b.ReportMetric(float64(refs)/1e6/b.Elapsed().Seconds(), "Mrefs/s")
 }

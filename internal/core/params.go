@@ -279,6 +279,25 @@ type energyCosts struct {
 	walkRefPJ        float64
 }
 
+// scale multiplies every cost by f. The skew-charge fault injector uses
+// it to mis-price every later charge, which the auditor's independent
+// re-derivation must catch.
+func (c *energyCosts) scale(f float64) {
+	mul := func(e *energy.Cost) { e.ReadPJ *= f; e.WritePJ *= f }
+	for i := range c.l1 {
+		for w := range c.l1[i].cost {
+			mul(&c.l1[i].cost[w])
+		}
+	}
+	mul(&c.l2)
+	mul(&c.l1Rng)
+	mul(&c.l2Rng)
+	for i := range c.mmu {
+		mul(&c.mmu[i])
+	}
+	c.walkRefPJ *= f
+}
+
 // Validate checks the parameters for consistency, including that the
 // energy database prices every structure the configuration can charge.
 // Every failure wraps ErrInvalidParams, so API users can classify with

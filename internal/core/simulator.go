@@ -51,12 +51,15 @@ type Simulator struct {
 	aud *audit.Auditor
 
 	// Fault-injection state (inject package; zero unless Params.Fault is
-	// set). chargeSkew multiplies every energy charge (1 = faithful);
-	// dropInval names a structure the next InvalidateRegion must skip.
+	// set). dropInval names a structure the next InvalidateRegion must
+	// skip.
 	fault      inject.Fault
 	faultArmed bool
-	chargeSkew float64
 	dropInval  string
+
+	// shadow is set when something reads runStats.shadowPJ: the auditor's
+	// conservation check or the interval energy series.
+	shadow bool
 
 	// err records a demand fault the address space could not serve;
 	// RunContext stops the run and returns it, Err reports it.
@@ -172,7 +175,6 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	if p.hasPredictor() {
 		s.pred = newSizePredictor(p.PredictorEntries)
 	}
-	s.chargeSkew = 1
 	if p.Fault.Kind != inject.None {
 		s.fault = p.Fault
 		s.faultArmed = true
@@ -198,6 +200,7 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 			WalkRefPJ: p.EnergyDB.WalkRefCost(p.WalkL1HitRatio),
 		})
 	}
+	s.shadow = s.aud != nil || p.SeriesIntervalInstrs > 0
 	s.st.series.Name = "L1 MPKI per interval"
 	s.st.seriesEnergy.Name = "energy/access (pJ) per interval"
 	s.st.seriesWays.Name = "L1-4KB active ways per interval"
@@ -218,16 +221,18 @@ func mixKey(va addr.VA, sz addr.PageSize) uint64 {
 	return uint64(sz)<<60 | addr.VPN(va, sz)
 }
 
-// charge books pj picojoules against acc, both in the per-account
-// breakdown and the shadow total the conservation audit compares
-// against. It is the simulator's single energy charging primitive;
-// the chargesite analyzer rejects Breakdown writes anywhere else.
+// charge books pj picojoules against acc in the per-account breakdown
+// and, when it is read, in the shadow total the conservation audit and
+// the interval energy series use. It is the simulator's single energy
+// charging primitive; the chargesite analyzer rejects Breakdown writes
+// anywhere else.
 //
 //eeat:chargesite
 func (s *Simulator) charge(acc energy.Account, pj float64) {
-	pj *= s.chargeSkew
 	s.st.energy.Add(acc, pj)
-	s.st.shadowPJ += pj
+	if s.shadow {
+		s.st.shadowPJ += pj
+	}
 }
 
 // The audit* helpers forward observations to the integrity layer when
@@ -286,10 +291,11 @@ func (s *Simulator) applyFault() {
 		}
 		s.faultArmed = false
 	case inject.SkewCharge:
-		s.chargeSkew = s.fault.Factor
-		if s.chargeSkew == 0 {
-			s.chargeSkew = 1.5
+		f := s.fault.Factor
+		if f == 0 {
+			f = 1.5
 		}
+		s.cost.scale(f)
 		s.faultArmed = false
 	}
 }
@@ -637,14 +643,23 @@ const cancelCheckRefs = 1 << 14
 // is reached, and returns the first audit.ViolationError with the
 // partial Result — surfacing silent corruption the same way a panic or
 // deadline surfaces, as a typed cell error in the harness.
+//
+// A trace.BlockSource is consumed a block at a time, straight from its
+// buffer; any other source goes through trace.Blocks' one-reference
+// adapter. Either way the run consumes exactly the references it
+// simulates: a budget met mid-block leaves the rest of the block in
+// the source, so a later RunContext on the same source resumes at the
+// next reference.
 func (s *Simulator) RunContext(ctx context.Context, src trace.RefSource, instrBudget uint64) (Result, error) {
 	if t := s.tele; t != nil && t.m != nil {
 		t.m.simsActive.Add(1)
 		defer t.m.simsActive.Add(-1)
 	}
+	blocks := trace.Blocks(src)
 	done := ctx.Done()
-	for n := 0; s.st.instructions < instrBudget; n++ {
-		if n&(cancelCheckRefs-1) == 0 {
+	// untilPoll counts down the references left before the next poll.
+	for untilPoll := 0; s.st.instructions < instrBudget; {
+		if untilPoll == 0 {
 			// Telemetry rides the cancellation cadence: a live /metrics
 			// scrape sees counters at most 16 Ki references stale.
 			s.flushTelemetry()
@@ -660,9 +675,22 @@ func (s *Simulator) RunContext(ctx context.Context, src trace.RefSource, instrBu
 					return s.Result(), err
 				}
 			}
+			untilPoll = cancelCheckRefs
 		}
-		r := src.Next()
-		s.Access(r.VA, r.Instrs)
+		refs := blocks.Peek()
+		if len(refs) > untilPoll {
+			refs = refs[:untilPoll]
+		}
+		n := 0
+		for n < len(refs) && s.st.instructions < instrBudget {
+			s.Access(refs[n].VA, refs[n].Instrs)
+			n++
+			if s.err != nil {
+				break
+			}
+		}
+		blocks.Skip(n)
+		untilPoll -= n
 		if s.err != nil {
 			return s.Result(), s.err
 		}
@@ -686,15 +714,6 @@ func (s *Simulator) AuditErr() error {
 	}
 	s.aud.AuditNow(&s.st.energy, s.st.shadowPJ)
 	return s.aud.Err()
-}
-
-// AuditStats returns the integrity layer's activity counters (zero when
-// auditing is disabled).
-func (s *Simulator) AuditStats() audit.Stats {
-	if s.aud == nil {
-		return audit.Stats{}
-	}
-	return s.aud.Stats()
 }
 
 // InvalidateRegion models an OS-initiated TLB shootdown for the virtual

@@ -99,10 +99,14 @@ type Config struct {
 // ExperimentResult is one experiment's outcome: its rendered tables, or
 // the error that annotates the gap it left in the suite.
 type ExperimentResult struct {
-	ID      string
-	Title   string
-	Tables  []*stats.Table
-	Err     error
+	ID     string
+	Title  string
+	Tables []*stats.Table
+	Err    error
+	// Elapsed is the execute time of the cells this run simulated for
+	// the experiment, plus its render time. A cell several experiments
+	// share counts for the first that plans it; a cell served from a
+	// checkpoint or preload counts nothing.
 	Elapsed time.Duration
 }
 
@@ -117,6 +121,8 @@ type Suite struct {
 	jrnl     *Journal[checkpointCell]
 	planned  int
 	inflight map[string]inflightCell
+	// cellTime is each executed cell's execute time, retries included.
+	cellTime map[string]time.Duration
 
 	// onCellDone, when set, is called after every executed cell has been
 	// recorded (test hook for cancellation at a known point).
@@ -140,6 +146,7 @@ func New(cfg Config) *Suite {
 		memo:     make(map[string]core.Result),
 		failed:   make(map[string]*RunError),
 		inflight: make(map[string]inflightCell),
+		cellTime: make(map[string]time.Duration),
 	}
 	if cfg.Registry != nil {
 		s.hm = newHarnessMetrics(cfg.Registry)
@@ -188,7 +195,13 @@ func (s *Suite) Run(ctx context.Context, exps []exper.Experiment) ([]ExperimentR
 		return nil, err
 	}
 
-	results := s.render(ctx, exps, opt)
+	executed := make([]time.Duration, len(exps))
+	s.mu.Lock()
+	for _, pj := range jobs {
+		executed[pj.exp] += s.cellTime[pj.key]
+	}
+	s.mu.Unlock()
+	results := s.render(ctx, exps, opt, executed)
 	if ctx.Err() != nil {
 		return results, ctx.Err()
 	}
@@ -244,11 +257,13 @@ func (s *Suite) journalCell(key string, res core.Result) {
 	}
 }
 
-// plannedJob couples a cell with its content-addressed key. enqueued is
-// stamped by the execute feed loop so workers can report queue wait.
+// plannedJob couples a cell with its content-addressed key and the
+// index of the first experiment that planned it. enqueued is stamped by
+// the execute feed loop so workers can report queue wait.
 type plannedJob struct {
 	key      string
 	job      exper.Job
+	exp      int
 	enqueued time.Time
 }
 
@@ -259,7 +274,8 @@ type plannedJob struct {
 func (s *Suite) plan(exps []exper.Experiment, opt exper.Options) []plannedJob {
 	rec := &planRecorder{seen: make(map[string]bool)}
 	opt.Runner = rec
-	for _, e := range exps {
+	for i, e := range exps {
+		rec.exp = i
 		if err := planOne(e, opt); err != nil {
 			s.cfg.Logf("plan %s: %v (its cells will run serially)", e.ID, err)
 		}
@@ -295,9 +311,17 @@ func (s *Suite) execute(ctx context.Context, jobs []plannedJob) error {
 	}
 
 	if s.cfg.ProgressEvery > 0 {
+		// The loop must have exited before execute returns, or a late
+		// progress line races the caller's teardown of Logf.
 		stop := make(chan struct{})
+		var progress sync.WaitGroup
+		progress.Add(1)
+		go func() {
+			defer progress.Done()
+			s.progressLoop(time.Now(), resumed, stop)
+		}()
+		defer progress.Wait() // deferred calls run last-first: after close(stop)
 		defer close(stop)
-		go s.progressLoop(time.Now(), resumed, stop)
 	}
 
 	ch := make(chan plannedJob)
@@ -344,9 +368,10 @@ func (s *Suite) runAndRecord(ctx context.Context, pj plannedJob) {
 		s.hm.inFlight.Add(1)
 	}
 	res, rerr := s.runCell(ctx, pj)
+	took := time.Since(start)
 	if s.hm != nil {
 		s.hm.inFlight.Add(-1)
-		s.hm.cellSeconds.Observe(time.Since(start).Seconds())
+		s.hm.cellSeconds.Observe(took.Seconds())
 	}
 	if rerr != nil && ctx.Err() != nil {
 		s.mu.Lock()
@@ -356,6 +381,7 @@ func (s *Suite) runAndRecord(ctx context.Context, pj plannedJob) {
 	}
 	s.mu.Lock()
 	delete(s.inflight, pj.key)
+	s.cellTime[pj.key] = took
 	recorded := false
 	if rerr != nil {
 		if s.hm != nil {
@@ -438,12 +464,15 @@ func (s *Suite) attemptCell(ctx context.Context, j exper.Job) (res core.Result, 
 }
 
 // render re-runs every experiment serially against the memoized
-// results, producing output identical to a sequential run. Experiments
-// stop rendering once ctx is cancelled.
-func (s *Suite) render(ctx context.Context, exps []exper.Experiment, opt exper.Options) []ExperimentResult {
+// results, producing output identical to a sequential run. executed[i]
+// is the execute time of the cells experiment i owns, which its
+// Elapsed adds to the render time (including any cell the plan missed
+// and render runs inline). Experiments stop rendering once ctx is
+// cancelled.
+func (s *Suite) render(ctx context.Context, exps []exper.Experiment, opt exper.Options, executed []time.Duration) []ExperimentResult {
 	out := make([]ExperimentResult, 0, len(exps))
 	opt.Runner = &servingRunner{ctx: ctx, s: s}
-	for _, e := range exps {
+	for i, e := range exps {
 		if ctx.Err() != nil {
 			out = append(out, ExperimentResult{ID: e.ID, Title: e.Title, Err: ctx.Err()})
 			continue
@@ -453,7 +482,7 @@ func (s *Suite) render(ctx context.Context, exps []exper.Experiment, opt exper.O
 		out = append(out, ExperimentResult{
 			ID: e.ID, Title: e.Title,
 			Tables: tables, Err: err,
-			Elapsed: time.Since(start),
+			Elapsed: executed[i] + time.Since(start),
 		})
 	}
 	return out

@@ -310,3 +310,30 @@ func TestRetrySeedDeterministic(t *testing.T) {
 		t.Error("different cells should draw different seeds")
 	}
 }
+
+// TestElapsedCountsExecutedCells pins ExperimentResult.Elapsed to the
+// execute time of the cells an experiment owns. Every cell runs in the
+// shared execute phase before any experiment renders; the cell both
+// experiments request counts only for the first, which plans it.
+func TestElapsedCountsExecutedCells(t *testing.T) {
+	const cellTime = 40 * time.Millisecond
+	shared := tinyJob("shared", core.Cfg4KB, 1)
+	own := tinyJob("own", core.Cfg4KB, 2)
+	s := New(Config{Workers: 2, Execute: func(ctx context.Context, j exper.Job) (core.Result, error) {
+		time.Sleep(cellTime)
+		return exper.ExecuteJobContext(ctx, j)
+	}})
+	results, err := s.Run(context.Background(), []exper.Experiment{
+		cellExp("first", []exper.Job{shared, own}),
+		cellExp("second", []exper.Job{shared}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := results[0].Elapsed; first < 2*cellTime {
+		t.Errorf("first experiment's Elapsed = %v, want at least its two cells' %v", first, 2*cellTime)
+	}
+	if second := results[1].Elapsed; second >= cellTime {
+		t.Errorf("second experiment's Elapsed = %v: the shared cell was counted again", second)
+	}
+}

@@ -9,18 +9,20 @@ import (
 )
 
 // planRecorder is the Runner of the plan pass: it records each distinct
-// cell in first-request order and answers with a stub result. The plan
-// pass is serial, so no locking.
+// cell in first-request order, with the index of the experiment being
+// planned (exp), and answers with a stub result. The plan pass is
+// serial, so no locking.
 type planRecorder struct {
 	seen map[string]bool
 	jobs []plannedJob
+	exp  int
 }
 
 func (r *planRecorder) RunCell(j exper.Job) (core.Result, error) {
 	k := jobKey(j)
 	if !r.seen[k] {
 		r.seen[k] = true
-		r.jobs = append(r.jobs, plannedJob{key: k, job: j})
+		r.jobs = append(r.jobs, plannedJob{key: k, job: j, exp: r.exp})
 	}
 	return stubResult(j), nil
 }

@@ -116,8 +116,11 @@ type monitor struct {
 	// physical ways needs log2(n)+1 counters (Figure 6).
 	lruDist []uint64
 	// lookupsAtWays[k] counts lookups performed while 2^k ways were
-	// active — the Table 5 occupancy histogram.
+	// active — the Table 5 occupancy histogram. Lookups since the last
+	// way change are still pending in the controller's count; attributed
+	// is the part of that count already added here.
 	lookupsAtWays []uint64
+	attributed    uint64
 }
 
 func newMonitor(t *tlb.SetAssoc) *monitor {
@@ -131,13 +134,9 @@ func (m *monitor) reset() {
 	}
 }
 
-// bucket maps an LRU-stack position to its counter index.
-func bucket(pos int) int {
-	if pos == 0 {
-		return 0
-	}
-	return bits.Len(uint(pos)) // floor(log2(pos))+1
-}
+// bucket maps an LRU-stack position to its counter index:
+// floor(log2(pos))+1, and 0 for the MRU position (bits.Len(0) is 0).
+func bucket(pos int) int { return bits.Len(uint(pos)) }
 
 // extraMisses returns the additional misses this interval's hits would
 // have become with only w (a power of two) active ways: the sum of the
@@ -167,7 +166,8 @@ type Controller struct {
 	mons []*monitor
 	rng  *rand.Rand
 
-	instrs        uint64 // instructions in the current interval
+	lookups       uint64 // lookups recorded so far, across all intervals
+	left          uint64 // instructions until the current interval ends
 	actualMisses  uint64 // L1 misses (any structure) this interval
 	prevMPKI      float64
 	hasPrev       bool
@@ -189,23 +189,31 @@ func NewController(cfg Config, tlbs ...*tlb.SetAssoc) *Controller {
 	if cfg.ReactivateProb < 0 || cfg.ReactivateProb > 1 {
 		panic(fmt.Sprintf("lite: reactivation probability %v outside [0,1]", cfg.ReactivateProb))
 	}
-	c := &Controller{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	c := &Controller{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), left: cfg.IntervalInstrs}
 	for _, t := range tlbs {
 		if t.Ways()&(t.Ways()-1) != 0 {
 			panic(fmt.Sprintf("lite: TLB %s has non-power-of-two associativity %d", t.Name(), t.Ways()))
 		}
-		c.mons = append(c.mons, newMonitor(t))
+		m := newMonitor(t)
+		// Every way change closes the pending lookups at the old way
+		// count, whether the decision algorithm or a caller made it.
+		t.OnResize(func() { c.attribute(m) })
+		c.mons = append(c.mons, m)
 	}
 	return c
 }
 
 // RecordLookup notes that all monitored L1 TLBs were probed for one
-// memory operation, attributing the lookup to each TLB's current
-// active-way configuration (Table 5's occupancy data).
-func (c *Controller) RecordLookup() {
-	for _, m := range c.mons {
-		m.lookupsAtWays[bits.Len(uint(m.t.ActiveWays()))-1]++
-	}
+// memory operation. The lookup is attributed to each TLB's current
+// active-way configuration (Table 5's occupancy data) when that
+// configuration next changes or the share is read.
+func (c *Controller) RecordLookup() { c.lookups++ }
+
+// attribute adds m's pending lookups to the bucket of its current
+// active-way count.
+func (c *Controller) attribute(m *monitor) {
+	m.lookupsAtWays[bits.Len(uint(m.t.ActiveWays()))-1] += c.lookups - m.attributed
+	m.attributed = c.lookups
 }
 
 // RecordHit notes an L1 hit in monitored TLB idx at the given LRU-stack
@@ -227,14 +235,25 @@ func (c *Controller) RecordMiss() { c.actualMisses++ }
 // decision algorithm at each interval boundary. It returns true if at
 // least one boundary was crossed.
 func (c *Controller) AddInstructions(n uint64) bool {
-	c.instrs += n
-	crossed := false
-	for c.instrs >= c.cfg.IntervalInstrs {
-		c.instrs -= c.cfg.IntervalInstrs
-		c.endInterval()
-		crossed = true
+	if n < c.left {
+		c.left -= n
+		return false
 	}
-	return crossed
+	c.endIntervals(n)
+	return true
+}
+
+// endIntervals adds n instructions that reach at least one interval
+// boundary and runs the decision algorithm once per boundary crossed.
+//
+//eeat:coldpath interval-end decisions; run once per IntervalInstrs instructions
+func (c *Controller) endIntervals(n uint64) {
+	instrs := c.cfg.IntervalInstrs - c.left + n
+	for instrs >= c.cfg.IntervalInstrs {
+		instrs -= c.cfg.IntervalInstrs
+		c.endInterval()
+	}
+	c.left = c.cfg.IntervalInstrs - instrs
 }
 
 // endInterval runs the decision algorithm of Figure 7.
@@ -337,6 +356,7 @@ func (c *Controller) Reactivations() uint64 { return c.reactivations }
 // the share at 2^k ways. This is Table 5's left half.
 func (c *Controller) LookupShareAtWays(idx int) []float64 {
 	m := c.mons[idx]
+	c.attribute(m)
 	var total uint64
 	for _, v := range m.lookupsAtWays {
 		total += v

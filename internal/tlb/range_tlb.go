@@ -82,8 +82,10 @@ func (t *RangeTLB) Lookup(va addr.VA) (RangeEntry, bool) {
 	for i, e := range t.entries {
 		if e.Contains(va) {
 			t.stats.Hits++
-			copy(t.entries[1:i+1], t.entries[:i])
-			t.entries[0] = e
+			if i > 0 {
+				copy(t.entries[1:i+1], t.entries[:i])
+				t.entries[0] = e
+			}
 			return e, true
 		}
 	}

@@ -64,6 +64,10 @@ type SetAssoc struct {
 	data  []Entry
 	n     []int
 	stats Stats
+
+	// onResize, when set, runs at the start of every SetActiveWays while
+	// ActiveWays still reports the old configuration.
+	onResize func()
 }
 
 // NewSetAssoc constructs a TLB with the given total entry count and
@@ -134,7 +138,9 @@ func toFront(s []Entry, pos int, e Entry) {
 //eeat:hotpath
 func (t *SetAssoc) Lookup(key uint64) (Entry, int, bool) {
 	t.stats.Lookups++
-	s := t.resident(t.setOf(key))
+	si := t.setOf(key)
+	base := si * t.ways
+	s := t.data[base : base+t.n[si]]
 	for i := range s {
 		if s[i].Key == key {
 			t.stats.Hits++
@@ -215,6 +221,9 @@ func (t *SetAssoc) SetActiveWays(w int) {
 	if w < 1 || w > t.ways {
 		panic(fmt.Sprintf("tlb %s: SetActiveWays(%d) outside 1..%d", t.name, w, t.ways))
 	}
+	if t.onResize != nil {
+		t.onResize()
+	}
 	for i, n := range t.n {
 		if n > w {
 			t.stats.Invals += uint64(n - w)
@@ -223,6 +232,12 @@ func (t *SetAssoc) SetActiveWays(w int) {
 	}
 	t.active = w
 }
+
+// OnResize registers fn to run at the start of every SetActiveWays,
+// before the way count changes, replacing any earlier hook. A monitor
+// that counts lookups per way configuration uses it to close the
+// count at the old configuration, however the resize was made.
+func (t *SetAssoc) OnResize(fn func()) { t.onResize = fn }
 
 // Len returns the number of valid entries currently held.
 func (t *SetAssoc) Len() int {

@@ -129,8 +129,61 @@ type RefSource interface {
 	Next() Ref
 }
 
+// BlockSource is a RefSource that holds references already materialized
+// in memory and hands them out a block at a time, so a consumer can run
+// over a slice instead of calling Next per reference. Peek returns the
+// buffered references without consuming them; it is never empty,
+// because the stream is infinite, and the slice is valid only until the
+// next call to any of the three methods. Skip(n) consumes the first n
+// of them (n at most len(Peek())). Next, Peek and Skip all advance the
+// same position.
+type BlockSource interface {
+	RefSource
+	Peek() []Ref
+	Skip(n int)
+}
+
+// Blocks returns src as a BlockSource: src itself when it is one, else
+// an adapter that buffers one reference at a time, so a reference that
+// is peeked but never skipped stays unconsumed in src's stream.
+func Blocks(src RefSource) BlockSource {
+	if b, ok := src.(BlockSource); ok {
+		return b
+	}
+	return &oneRef{src: src}
+}
+
+// oneRef adapts a plain RefSource to BlockSource one reference at a time.
+type oneRef struct {
+	src  RefSource
+	buf  [1]Ref
+	full bool
+}
+
+func (o *oneRef) Next() Ref {
+	if o.full {
+		o.full = false
+		return o.buf[0]
+	}
+	return o.src.Next()
+}
+
+func (o *oneRef) Peek() []Ref {
+	if !o.full {
+		o.buf[0] = o.src.Next()
+		o.full = true
+	}
+	return o.buf[:]
+}
+
+func (o *oneRef) Skip(n int) {
+	if n > 0 {
+		o.full = false
+	}
+}
+
 // Replay cycles through a recorded reference slice, satisfying
-// RefSource for replayed traces. Looping lets a short recorded trace
+// BlockSource for replayed traces. Looping lets a short recorded trace
 // fill any instruction budget, matching how the paper loops simulation
 // windows.
 type Replay struct {
@@ -167,10 +220,19 @@ func NewReplay(refs []Ref) *Replay {
 // Next returns the next recorded reference, wrapping at the end.
 func (rp *Replay) Next() Ref {
 	r := rp.refs[rp.pos]
-	rp.pos++
+	rp.Skip(1)
+	return r
+}
+
+// Peek returns the references from the current position to the end of
+// the recording.
+func (rp *Replay) Peek() []Ref { return rp.refs[rp.pos:] }
+
+// Skip consumes n peeked references, wrapping at the end.
+func (rp *Replay) Skip(n int) {
+	rp.pos += n
 	if rp.pos == len(rp.refs) {
 		rp.pos = 0
 		rp.Laps++
 	}
-	return r
 }

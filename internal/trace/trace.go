@@ -341,12 +341,22 @@ func (p *phased) NextVA() addr.VA {
 
 // Generator converts an address stream into a reference stream by
 // attaching instruction counts: on average instrPerRef instructions per
-// memory reference (fractional rates are accumulated exactly).
+// memory reference (fractional rates are accumulated exactly). It is a
+// BlockSource: it synthesizes genBlock references at a time into a
+// buffer, so the simulator runs over them without a call per
+// reference. References synthesized but not yet consumed stay in the
+// buffer, so the stream a consumer sees does not depend on how it
+// reads it.
 type Generator struct {
 	stream Stream
 	ipr    float64
 	acc    float64
+	buf    []Ref // synthesized references; buf[pos:] are not yet consumed
+	pos    int
 }
+
+// genBlock is how many references a Generator synthesizes at a time.
+const genBlock = 256
 
 // NewGenerator paces the stream at instrPerRef instructions per
 // reference (must be ≥ 1; typical x86 code issues a memory operation
@@ -360,8 +370,36 @@ func NewGenerator(stream Stream, instrPerRef float64) *Generator {
 
 // Next returns the next reference.
 func (g *Generator) Next() Ref {
-	g.acc += g.ipr
-	n := uint64(g.acc)
-	g.acc -= float64(n)
-	return Ref{VA: g.stream.NextVA(), Instrs: n}
+	if g.pos == len(g.buf) {
+		g.fill()
+	}
+	r := g.buf[g.pos]
+	g.pos++
+	return r
+}
+
+// Peek returns the synthesized references not yet consumed,
+// synthesizing the next block when there are none.
+func (g *Generator) Peek() []Ref {
+	if g.pos == len(g.buf) {
+		g.fill()
+	}
+	return g.buf[g.pos:]
+}
+
+// Skip consumes n peeked references.
+func (g *Generator) Skip(n int) { g.pos += n }
+
+// fill synthesizes the next block of references.
+func (g *Generator) fill() {
+	if g.buf == nil {
+		g.buf = make([]Ref, genBlock)
+	}
+	for i := range g.buf {
+		g.acc += g.ipr
+		n := uint64(g.acc)
+		g.acc -= float64(n)
+		g.buf[i] = Ref{VA: g.stream.NextVA(), Instrs: n}
+	}
+	g.pos = 0
 }

@@ -51,9 +51,12 @@ type Executor struct {
 	// segment, not once per cell. Guarded by mu; bounded by
 	// maxValidatedBytes with a mass flush, which at worst re-reads and
 	// revalidates — never a correctness concern, a Segment is immutable.
+	// loads shares one load and validation among concurrent misses on
+	// one key.
 	mu       sync.Mutex
 	segs     map[string]Segment
 	segBytes int64
+	loads    flights[Segment]
 }
 
 // maxValidatedBytes bounds the in-memory validated-segment memo
@@ -61,36 +64,44 @@ type Executor struct {
 const maxValidatedBytes = 256 << 20
 
 // segment returns the validated segment under key, loading and
-// validating only on the first request.
-func (e *Executor) segment(key string, load func() ([]byte, error)) (Segment, error) {
-	e.mu.Lock()
-	if seg, ok := e.segs[key]; ok {
-		e.mu.Unlock()
+// validating only on the first request. Concurrent requests for a key
+// that is not memoized share one load (see flights).
+func (e *Executor) segment(ctx context.Context, key string, load func() ([]byte, error)) (Segment, error) {
+	if seg, ok := e.memoized(key); ok {
 		return seg, nil
 	}
-	e.mu.Unlock()
-	data, err := load()
-	if err != nil {
-		return Segment{}, err
-	}
-	seg, err := Validate(data)
-	if err != nil {
-		return Segment{}, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.segs == nil {
-		e.segs = make(map[string]Segment)
-	}
-	if e.segBytes+int64(len(data)) > maxValidatedBytes {
-		e.segs = make(map[string]Segment)
-		e.segBytes = 0
-	}
-	if _, ok := e.segs[key]; !ok {
+	return e.loads.do(ctx, key, func() (Segment, error) {
+		if seg, ok := e.memoized(key); ok {
+			return seg, nil
+		}
+		data, err := load()
+		if err != nil {
+			return Segment{}, err
+		}
+		seg, err := Validate(data)
+		if err != nil {
+			return Segment{}, err
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.segs == nil {
+			e.segs = make(map[string]Segment)
+		}
+		if e.segBytes+int64(len(data)) > maxValidatedBytes {
+			e.segs = make(map[string]Segment)
+			e.segBytes = 0
+		}
 		e.segs[key] = seg
 		e.segBytes += int64(len(data))
-	}
-	return seg, nil
+		return seg, nil
+	})
+}
+
+func (e *Executor) memoized(key string) (Segment, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seg, ok := e.segs[key]
+	return seg, ok
 }
 
 func (e *Executor) logf(format string, args ...any) {
@@ -117,7 +128,7 @@ func (e *Executor) ExecuteJob(ctx context.Context, j exper.Job) (core.Result, er
 func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, error) {
 	bopt := workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}
 	key := Key(j.Spec, bopt, j.Instrs)
-	seg, err := e.segment(key, func() ([]byte, error) {
+	seg, err := e.segment(ctx, key, func() ([]byte, error) {
 		return e.Store.GetOrCompile(key, func() ([]byte, error) {
 			data, info, cerr := CompileSpec(j.Spec, bopt, j.Instrs)
 			if cerr != nil {
@@ -146,7 +157,7 @@ func (e *Executor) replayIngested(ctx context.Context, j exper.Job) (core.Result
 		return core.Result{}, fmt.Errorf("tracec: trace-backed cell %s needs a segment store", j.Spec.Name)
 	}
 	key := j.Spec.TraceRef
-	seg, err := e.segment(key, func() ([]byte, error) {
+	seg, err := e.segment(ctx, key, func() ([]byte, error) {
 		data, err := e.Store.Get(key)
 		if err != nil && e.Fetch != nil {
 			if data, err = e.Fetch(ctx, key); err == nil {

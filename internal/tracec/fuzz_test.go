@@ -3,6 +3,7 @@ package tracec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -22,7 +23,10 @@ import (
 // input the full decode pipeline (Stat, DecodeAll, NewReplay) never
 // panics; every rejection is the typed ErrSegmentCorrupt; and any input
 // that passes the Stat gate decodes cleanly, replays, and re-encodes to
-// the same reference stream. Run continuously with `make fuzz`.
+// the same reference stream. It is also a differential test of the
+// block decoder against refDecodeBlock, a reference built on
+// binary.Varint and binary.Uvarint (see checkDecodeBlock). Run
+// continuously with `make fuzz`.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seeds: valid segments of several shapes plus characteristic
 	// damage, so the corpus starts on both sides of the gate.
@@ -41,8 +45,32 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte("XLSEGv1\n"))
 	f.Add([]byte("XLTRACE1\n"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// Varints of 7 to 10 bytes in both fields, framed as segments and
+	// as raw payloads, whole and cut short, so both sides of the
+	// decoder's eight-byte word path and its byte loop are seeded.
+	for _, l := range []int{7, 8, 9, 10} {
+		big := uint64(1) << min(7*l-1, 63) // the zigzag of this delta, and this count, take l bytes
+		refs := []trace.Ref{{VA: 0x1000, Instrs: 1}, {VA: addr.VA(0x1000 + big/2), Instrs: big}, {VA: 7, Instrs: 2}}
+		seg, _, err := EncodeRefs(refs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+		payload := rawPayload(refs)
+		f.Add(append([]byte{byte(len(refs) - 1)}, payload...))
+		// Cut inside the last 16 bytes: the final refs sit where the
+		// word path cannot read eight bytes.
+		for cut := 1; cut <= 16 && cut < len(payload); cut += 5 {
+			f.Add(append([]byte{byte(len(refs) - 1)}, payload[:len(payload)-cut]...))
+		}
+	}
+	// A tenth byte that overflows 64 bits, in each field.
+	over := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	f.Add(append(append([]byte{0}, over...), 1))
+	f.Add(append([]byte{0, 2}, over...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeBlock(t, data)
 		info, err := Stat(data)
 		if err != nil {
 			if !errors.Is(err, ErrSegmentCorrupt) {
@@ -175,6 +203,119 @@ func simulateFuzzed(t *testing.T, path string, src func() trace.RefSource) {
 			t.Fatalf("%s %v: replay did not reach its budget: %v", path, kind, err)
 		case !errors.Is(err, physmem.ErrOutOfMemory) && !errors.Is(err, vm.ErrBadAddress):
 			t.Fatalf("%s %v: simulation error is not typed: %v", path, kind, err)
+		}
+	}
+}
+
+// rawPayload encodes refs as one block payload, as the Encoder does.
+func rawPayload(refs []trace.Ref) []byte {
+	var out []byte
+	prev := uint64(0)
+	for _, r := range refs {
+		out = binary.AppendVarint(out, int64(uint64(r.VA)-prev))
+		out = binary.AppendUvarint(out, r.Instrs)
+		prev = uint64(r.VA)
+	}
+	return out
+}
+
+// refDecodeBlock is the reference block decoder: the payload format of
+// the package comment, decoded with binary.Varint and binary.Uvarint.
+func refDecodeBlock(refCount int, payload []byte) ([]trace.Ref, uint64, error) {
+	var refs []trace.Ref
+	var prev, total uint64
+	off := 0
+	for i := 0; i < refCount; i++ {
+		delta, n := binary.Varint(payload[off:])
+		if n <= 0 {
+			return nil, 0, corrupt("bad VA delta in block (ref %d)", i)
+		}
+		off += n
+		instrs, m := binary.Uvarint(payload[off:])
+		if m <= 0 {
+			return nil, 0, corrupt("bad instr count in block (ref %d)", i)
+		}
+		off += m
+		prev += uint64(delta)
+		total += instrs
+		refs = append(refs, trace.Ref{VA: addr.VA(prev), Instrs: instrs})
+	}
+	if off != len(payload) {
+		return nil, 0, corrupt("%d trailing bytes after block payload", len(payload)-off)
+	}
+	return refs, total, nil
+}
+
+// checkDecodeBlock runs decodeBlock and refDecodeBlock over the same
+// payloads and fails unless both accept with the same refs and total,
+// or both refuse with ErrSegmentCorrupt. The payloads are data itself
+// (the first byte picks a ref count of 1 to 64, the rest is the
+// payload) and, when data frames as a segment, each framed block.
+func checkDecodeBlock(t *testing.T, data []byte) {
+	t.Helper()
+	same := func(what string, refCount int, payload []byte) {
+		got, gotTotal, gotErr := decodeBlock(nil, refCount, payload)
+		want, wantTotal, wantErr := refDecodeBlock(refCount, payload)
+		switch {
+		case gotErr != nil || wantErr != nil:
+			if !errors.Is(gotErr, ErrSegmentCorrupt) || !errors.Is(wantErr, ErrSegmentCorrupt) {
+				t.Fatalf("%s: decodeBlock says %v, reference says %v", what, gotErr, wantErr)
+			}
+		case gotTotal != wantTotal || !reflect.DeepEqual(got, want):
+			t.Fatalf("%s: decodeBlock gave %d refs (total %d), reference %d refs (total %d)",
+				what, len(got), gotTotal, len(want), wantTotal)
+		}
+	}
+	if len(data) > 0 {
+		same("raw payload", int(data[0])%64+1, data[1:])
+	}
+	_, off, err := header(data)
+	for err == nil && off < len(data) {
+		var nr int
+		var payload []byte
+		if nr, payload, off, err = blockAt(data, off); err == nil {
+			same("framed block", nr, payload)
+		}
+	}
+}
+
+// TestVarintAtMatchesBinary pins varintAt to binary.Uvarint for every
+// encoded length from 1 to 10 bytes, canonical and zero-padded, at
+// every distance from the end of the buffer up to 16 bytes, and for
+// every truncation of each.
+func TestVarintAtMatchesBinary(t *testing.T) {
+	var encs [][]byte
+	for l := 1; l <= 10; l++ {
+		lo := uint64(1) << (7 * (l - 1))
+		for _, v := range []uint64{lo, lo | lo>>1 | 1, lo<<7 - 1} {
+			if l == 1 {
+				v &= 0x7f
+			}
+			encs = append(encs, binary.AppendUvarint(nil, v))
+		}
+		// Zero-padded (non-canonical) form of 1: binary.Uvarint accepts it.
+		pad := append(bytes.Repeat([]byte{0x80}, l-1), 0)
+		pad[0] |= 1
+		encs = append(encs, pad)
+	}
+	encs = append(encs, append(bytes.Repeat([]byte{0xff}, 9), 0x02), bytes.Repeat([]byte{0x80}, 11))
+	for _, enc := range encs {
+		for tail := 0; tail <= 16; tail++ {
+			buf := append(append([]byte{0x55}, enc...), bytes.Repeat([]byte{0x81}, tail)...)
+			for end := 1; end <= len(buf); end++ {
+				p := buf[:end]
+				want, n := binary.Uvarint(p[1:])
+				got, next := varintAt(p, 1)
+				if n <= 0 {
+					if next != -1 {
+						t.Fatalf("% x: varintAt accepted (%d, %d), binary.Uvarint refused", p[1:], got, next)
+					}
+					continue
+				}
+				if got != want || next != 1+n {
+					t.Fatalf("% x: varintAt = (%d, %d), binary.Uvarint = (%d, %d)", p[1:], got, next, want, 1+n)
+				}
+			}
 		}
 	}
 }

@@ -5,23 +5,39 @@ import (
 )
 
 // Replay streams a compiled segment into the simulator. It keeps the
-// encoded bytes and decodes one block at a time into a reused flat
-// []trace.Ref buffer, so Next is an index increment with a periodic
-// block refill — memcpy-like speed with a bounded (one-block) working
-// set regardless of segment size. Like trace.Replay it wraps at the end
-// of the stream, so a short ingested trace fills any instruction
-// budget; a segment compiled for a given budget is consumed at most
-// once (CompileSpec freezes exactly the refs a live run consumes).
+// encoded bytes and hands the simulator one decoded block at a time
+// from a flat []trace.Ref buffer, so Next is an index increment and
+// RunContext (through trace.BlockSource) runs straight over the
+// buffer. While one block is consumed, a helper goroutine decodes the
+// next into a second buffer, so decode overlaps simulation on another
+// core. Only one block is ever decoded ahead, and the working set stays
+// two blocks regardless of segment size. Like trace.Replay it wraps at
+// the end of the stream, so a short ingested trace fills any
+// instruction budget; a segment compiled for a given budget is
+// consumed at most once (CompileSpec freezes exactly the refs a live
+// run consumes).
 type Replay struct {
 	data      []byte
 	bodyStart int
-	off       int // offset of the next undecoded block
-	buf       []trace.Ref
+	buf       []trace.Ref // the block being consumed
 	pos       int
-	info      SegmentInfo
+	// ahead carries the next block from its decoding goroutine. Its
+	// capacity of one lets that goroutine finish and exit even when
+	// the replay is abandoned, so no goroutine outlives a replay.
+	ahead chan decoded
+	info  SegmentInfo
 
 	// Laps counts completed passes over the segment.
 	Laps int
+}
+
+// decoded is one block handed from its decoding goroutine to the
+// replay.
+type decoded struct {
+	refs    []trace.Ref
+	next    int  // offset of the block after it
+	wrapped bool // the block starts a new pass over the segment
+	err     error
 }
 
 // NewReplay validates the segment (the full Stat gate — CRCs, framing,
@@ -38,21 +54,22 @@ func NewReplay(data []byte) (*Replay, error) {
 }
 
 // Replay returns a new replay of the validated segment, positioned at
-// the first reference. Replays are independent: each keeps its own
-// decode buffer and position, so concurrent cells can replay one
-// Segment simultaneously.
+// the first reference; decoding of the first block starts at once.
+// Replays are independent: each keeps its own decode buffers and
+// position, so concurrent cells can replay one Segment simultaneously.
 func (s Segment) Replay() *Replay {
 	if s.data == nil {
 		panic("tracec: Replay on an unvalidated zero Segment")
 	}
 	_, bodyStart, _ := header(s.data)
-	return &Replay{
+	r := &Replay{
 		data:      s.data,
 		bodyStart: bodyStart,
-		off:       bodyStart,
-		buf:       make([]trace.Ref, 0, blockRefs),
+		ahead:     make(chan decoded, 1),
 		info:      s.info,
 	}
+	go decodeAhead(r.ahead, s.data, bodyStart, bodyStart, make([]trace.Ref, 0, blockRefs))
+	return r
 }
 
 // Info returns the validated segment summary.
@@ -69,22 +86,50 @@ func (r *Replay) Next() trace.Ref {
 	return ref
 }
 
-// refill decodes the next block into the reused buffer. Stat already
-// proved every block decodes cleanly, so failures here are impossible
-// short of the caller mutating the retained slice — which panics, the
-// same contract trace.Replay has for a mutated refs slice.
+// Peek returns the rest of the current block, first taking the next
+// decoded block when the current one is drained.
+func (r *Replay) Peek() []trace.Ref {
+	if r.pos == len(r.buf) {
+		r.refill()
+	}
+	return r.buf[r.pos:]
+}
+
+// Skip consumes n peeked references.
+func (r *Replay) Skip(n int) { r.pos += n }
+
+// refill takes the block decoded ahead and starts decoding the one
+// after it into the drained buffer. Stat already proved every block
+// decodes cleanly, so a failure here is impossible short of the caller
+// mutating the retained slice — which panics, the same contract
+// trace.Replay has for a mutated refs slice.
 func (r *Replay) refill() {
-	if r.off == len(r.data) {
-		r.off = r.bodyStart
+	d := <-r.ahead
+	if d.err != nil {
+		panic("tracec: validated segment no longer decodes: " + d.err.Error())
+	}
+	spare := r.buf
+	if spare == nil {
+		spare = make([]trace.Ref, 0, blockRefs)
+	}
+	go decodeAhead(r.ahead, r.data, r.bodyStart, d.next, spare)
+	if d.wrapped {
 		r.Laps++
 	}
-	nr, payload, next, err := blockAt(r.data, r.off)
+	r.buf, r.pos = d.refs, 0
+}
+
+// decodeAhead decodes the block at data[off:] into buf, wrapping to the
+// first block at the end of the segment, and sends it on out.
+func decodeAhead(out chan<- decoded, data []byte, bodyStart, off int, buf []trace.Ref) {
+	d := decoded{}
+	if off == len(data) {
+		off, d.wrapped = bodyStart, true
+	}
+	nr, payload, next, err := blockAt(data, off)
 	if err == nil {
-		r.buf, _, err = decodeBlock(r.buf[:0], nr, payload)
+		buf, _, err = decodeBlock(buf[:0], nr, payload)
 	}
-	if err != nil {
-		panic("tracec: validated segment no longer decodes: " + err.Error())
-	}
-	r.off = next
-	r.pos = 0
+	d.refs, d.next, d.err = buf, next, err
+	out <- d
 }

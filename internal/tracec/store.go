@@ -2,6 +2,7 @@ package tracec
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -32,18 +33,13 @@ type Store struct {
 	entries map[string]*list.Element // key → lru element
 	lru     *list.List               // front = most recent; values are *storeEntry
 	bytes   int64
-	flight  map[string]*compileCall
+
+	compiles flights[[]byte]
 }
 
 type storeEntry struct {
 	key   string
 	bytes int64
-}
-
-type compileCall struct {
-	done chan struct{}
-	data []byte
-	err  error
 }
 
 // IsKey reports whether key is a well-formed content address — 64
@@ -86,7 +82,6 @@ func OpenStore(dir string, maxEntries int, maxBytes int64) (*Store, error) {
 		maxBytes:   maxBytes,
 		entries:    make(map[string]*list.Element),
 		lru:        list.New(),
-		flight:     make(map[string]*compileCall),
 	}
 	if err := s.adopt(); err != nil {
 		return nil, err
@@ -226,38 +221,19 @@ func (s *Store) Put(key string, data []byte) error {
 // (singleflight) — the harness fans the same spec across many cells,
 // and exactly one of them should pay the compile.
 func (s *Store) GetOrCompile(key string, compile func() ([]byte, error)) ([]byte, error) {
-	for {
+	if data, err := s.Get(key); err == nil {
+		return data, nil
+	}
+	return s.compiles.do(context.Background(), key, func() ([]byte, error) {
 		if data, err := s.Get(key); err == nil {
 			return data, nil
 		}
-		s.mu.Lock()
-		if call, ok := s.flight[key]; ok {
-			s.mu.Unlock()
-			<-call.done
-			return call.data, call.err
+		data, err := compile()
+		if err == nil {
+			err = s.Put(key, data)
 		}
-		if _, ok := s.entries[key]; !ok {
-			break // still s.mu-locked: become the key's flight below
-		}
-		// A flight stored the segment and ended between the Get above
-		// and this lock: go round again, which reads it back instead of
-		// compiling it again.
-		s.mu.Unlock()
-	}
-	call := &compileCall{done: make(chan struct{})}
-	s.flight[key] = call
-	s.mu.Unlock()
-
-	data, err := compile()
-	if err == nil {
-		err = s.Put(key, data)
-	}
-	call.data, call.err = data, err
-	s.mu.Lock()
-	delete(s.flight, key)
-	s.mu.Unlock()
-	close(call.done)
-	return data, err
+		return data, err
+	})
 }
 
 // Stats reports the store's current occupancy.

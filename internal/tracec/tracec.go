@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"xlate/internal/addr"
 	"xlate/internal/trace"
@@ -222,59 +223,25 @@ func blockAt(data []byte, off int) (refCount int, payload []byte, next int, err 
 // decodeBlock appends a validated block's references to dst and
 // returns the block's instruction total. The VA delta chain restarts
 // at zero. The payload has already passed the CRC, so any leftover or
-// missing bytes are encoder-level corruption. The varint decode is
-// hand-inlined (same semantics as binary.Uvarint: truncated, overlong,
-// and overflowing encodings are refused) — this loop is the replay hot
-// path, and the call plus re-slice overhead of the stdlib decoder is
-// the difference between memcpy-like and merely fast.
+// missing bytes are encoder-level corruption. This loop is the replay
+// hot path, so the varint decode is hand-inlined in varintAt rather
+// than calling binary.Uvarint; it accepts and refuses exactly what
+// binary.Varint and binary.Uvarint do (the differential fuzz target
+// checks this).
 func decodeBlock(dst []trace.Ref, refCount int, payload []byte) ([]trace.Ref, uint64, error) {
 	var prev, instrTotal uint64
 	off := 0
 	for i := 0; i < refCount; i++ {
-		var ux uint64
-		var s uint
-		for {
-			if off == len(payload) {
-				return dst, 0, corrupt("bad VA delta in block (ref %d)", i)
-			}
-			b := payload[off]
-			off++
-			if b < 0x80 {
-				if s == 63 && b > 1 {
-					return dst, 0, corrupt("bad VA delta in block (ref %d)", i)
-				}
-				ux |= uint64(b) << s
-				break
-			}
-			if s == 63 {
-				return dst, 0, corrupt("bad VA delta in block (ref %d)", i)
-			}
-			ux |= uint64(b&0x7f) << s
-			s += 7
+		ux, n := varintAt(payload, off)
+		if n < 0 {
+			return dst, 0, corrupt("bad VA delta in block (ref %d)", i)
 		}
 		prev += uint64(int64(ux>>1) ^ -int64(ux&1)) // zigzag decode
-
-		var instrs uint64
-		s = 0
-		for {
-			if off == len(payload) {
-				return dst, 0, corrupt("bad instr count in block (ref %d)", i)
-			}
-			b := payload[off]
-			off++
-			if b < 0x80 {
-				if s == 63 && b > 1 {
-					return dst, 0, corrupt("bad instr count in block (ref %d)", i)
-				}
-				instrs |= uint64(b) << s
-				break
-			}
-			if s == 63 {
-				return dst, 0, corrupt("bad instr count in block (ref %d)", i)
-			}
-			instrs |= uint64(b&0x7f) << s
-			s += 7
+		instrs, m := varintAt(payload, n)
+		if m < 0 {
+			return dst, 0, corrupt("bad instr count in block (ref %d)", i)
 		}
+		off = m
 		instrTotal += instrs
 		dst = append(dst, trace.Ref{VA: addr.VA(prev), Instrs: instrs})
 	}
@@ -282,6 +249,49 @@ func decodeBlock(dst []trace.Ref, refCount int, payload []byte) ([]trace.Ref, ui
 		return dst, 0, corrupt("%d trailing bytes after block payload", len(payload)-off)
 	}
 	return dst, instrTotal, nil
+}
+
+// varintAt decodes the unsigned varint at p[off:] and returns it with
+// the offset just past it, or offset -1 when the encoding is truncated
+// or overflows 64 bits (binary.Uvarint's n <= 0).
+//
+// A one-byte varint returns at once. Otherwise, when eight bytes are
+// left, it reads them as one little-endian word: a varint of up to
+// eight bytes ends at the word's first byte with the high bit clear,
+// and its seven-bit groups are packed together in three mask-and-shift
+// steps. Such a varint carries at most 56 bits and cannot overflow.
+// Longer varints and the last bytes of a payload take the byte loop.
+func varintAt(p []byte, off int) (uint64, int) {
+	if off < len(p) && p[off] < 0x80 {
+		return uint64(p[off]), off + 1
+	}
+	if off+8 <= len(p) {
+		w := binary.LittleEndian.Uint64(p[off:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
+			w &= (uint64(1)<<end - 1) & 0x7f7f7f7f7f7f7f7f
+			w = (w&0x7f007f007f007f00)>>1 | w&0x007f007f007f007f
+			w = (w&0x3fff00003fff0000)>>2 | w&0x00003fff00003fff
+			w = (w&0x0fffffff00000000)>>4 | w&0x000000000fffffff
+			return w, off + end/8
+		}
+	}
+	var x uint64
+	for s := uint(0); off < len(p); s += 7 {
+		b := p[off]
+		off++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, off
+		}
+		if s == 63 {
+			return 0, -1
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, -1
 }
 
 // Stat fully validates a segment — header, every block's framing and

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"xlate/internal/addr"
 	"xlate/internal/core"
@@ -753,5 +754,173 @@ func TestIsKey(t *testing.T) {
 		if IsKey(bad) {
 			t.Errorf("IsKey(%q) = true", bad)
 		}
+	}
+}
+
+// TestReplayBlocksMatchDecodeAll consumes a replay through its
+// BlockSource methods in uneven steps over two and a half passes: every
+// peeked reference must equal DecodeAll's at its wrapped index, and
+// after every Peek, Laps must count the passes completed before the
+// reference it shows.
+func TestReplayBlocksMatchDecodeAll(t *testing.T) {
+	seg, _ := mustSegment(t, synthRefs(2*blockRefs+1000, 5)) // three blocks, the last partial
+	want, err := DecodeAll(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplay(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(want)
+	for i, step := 0, 1; i < 2*n+n/2; step = step*7%4099 + 1 {
+		got := rp.Peek()
+		if rp.Laps != i/n {
+			t.Fatalf("at ref %d: Laps = %d, want %d", i, rp.Laps, i/n)
+		}
+		k := min(step, len(got))
+		for j := 0; j < k; j++ {
+			if got[j] != want[(i+j)%n] {
+				t.Fatalf("ref %d = %+v, DecodeAll says %+v", i+j, got[j], want[(i+j)%n])
+			}
+		}
+		rp.Skip(k)
+		i += k
+	}
+	if rp.Laps != 2 {
+		t.Fatalf("Laps = %d after two and a half passes, want 2", rp.Laps)
+	}
+}
+
+// TestAbandonedReplaysLeaveNoGoroutine drops replays mid-segment, with
+// the next block's decode in flight, and requires every decode-ahead
+// goroutine to exit.
+func TestAbandonedReplaysLeaveNoGoroutine(t *testing.T) {
+	seg, _ := mustSegment(t, synthRefs(3*blockRefs, 9))
+	s, err := Validate(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		rp := s.Replay()
+		rp.Skip(len(rp.Peek()) / 2) // mid block 0; block 1 is decoding
+		rp.Next()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the abandoned replays (%d before)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// nextOnly hides a source's BlockSource methods, so RunContext falls
+// back to its one-reference adapter.
+type nextOnly struct{ src trace.RefSource }
+
+func (n nextOnly) Next() trace.Ref { return n.src.Next() }
+
+// TestReplayRunContextAtBlockEdges runs a compiled cell over the
+// segment's own 32 Ki-reference blocks and over a Next-only view of
+// the same replay, with budgets that end exactly at the first block's
+// last reference and in the middle of the second block: the Results
+// must be identical.
+func TestReplayRunContextAtBlockEdges(t *testing.T) {
+	spec, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("no mcf workload")
+	}
+	j := exper.Job{Spec: spec, Params: core.DefaultParams(core.CfgTLBLite),
+		Policy: core.PolicyFor(core.CfgTLBLite, 0.5), Seed: 3, Scale: 0.1, Instrs: 600_000}
+	data, _, err := CompileSpec(spec, workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, j.Instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Validate(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := DecodeAll(data)
+	if err != nil || len(refs) < 2*blockRefs {
+		t.Fatalf("segment has %d refs (err %v), want two blocks", len(refs), err)
+	}
+	var edge uint64
+	for _, r := range refs[:blockRefs] {
+		edge += r.Instrs
+	}
+	for _, budget := range []uint64{edge, edge + 50_000} {
+		j.Instrs = budget
+		blocks, err := exper.RunModel(context.Background(), j, s.Replay())
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := exper.RunModel(context.Background(), j, nextOnly{s.Replay()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(blocks, next) {
+			t.Fatalf("budget %d: block-wise Result %+v\n!= Next-only Result %+v", budget, blocks, next)
+		}
+	}
+}
+
+// TestExecutorSegmentLoadsOnce sends concurrent cells' misses for one
+// segment at the executor's memo: they must share a single load.
+func TestExecutorSegmentLoadsOnce(t *testing.T) {
+	data, info := mustSegment(t, synthRefs(100, 2))
+	var e Executor
+	var loads atomic.Int32
+	load := func() ([]byte, error) {
+		loads.Add(1)
+		time.Sleep(20 * time.Millisecond) // keep the load in flight while the others arrive
+		return data, nil
+	}
+	const callers = 8
+	start := make(chan struct{})
+	errs := make([]error, callers)
+	segs := make([]Segment, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			segs[i], errs[i] = e.segment(context.Background(), "key", load)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers ran %d loads, want 1", callers, n)
+	}
+	for i := range segs {
+		if errs[i] != nil || segs[i].Info() != info {
+			t.Fatalf("caller %d: segment %+v, err %v", i, segs[i].Info(), errs[i])
+		}
+	}
+
+	// A load that ends with its own caller's context error is not
+	// handed to a waiter whose context is live: the waiter loads again.
+	var e2 Executor
+	loads.Store(0)
+	var waiter sync.WaitGroup
+	var waitErr error
+	_, err := e2.segment(context.Background(), "key", func() ([]byte, error) {
+		if loads.Add(1) == 1 {
+			waiter.Add(1)
+			go func() {
+				defer waiter.Done()
+				_, waitErr = e2.segment(context.Background(), "key", load)
+			}()
+			time.Sleep(20 * time.Millisecond)
+			return nil, context.Canceled
+		}
+		return data, nil
+	})
+	waiter.Wait()
+	if !errors.Is(err, context.Canceled) || waitErr != nil {
+		t.Fatalf("cancelled loader got %v, live waiter got %v; want context.Canceled and nil", err, waitErr)
 	}
 }
