@@ -251,12 +251,14 @@ trace-smoke:
 	grep -q 'replayed 200000-reference trace' trace-eeatsim.out \
 		|| { echo "trace-smoke: eeatsim -replay did not replay the recorded trace:" >&2; cat trace-eeatsim.out >&2; exit 1; }
 	./eeatd-bin -cluster 2 -exp "" -instrs 400000 -scale 0.1 -seed 7 \
-		-trace-store trace-smoke-dev -ingest trace-smoke.xltrace > trace-ingest.out
+		-trace-store trace-smoke-dev -ingest trace-smoke.xltrace > trace-ingest.out 2> trace-ingest.err
 	diff $(TRACE_GOLDEN) trace-ingest.out \
 		|| { echo "trace-smoke: ingested-trace report diverged from its golden" >&2; exit 1; }
+	fetches=$$(grep -c 'fetched segment' trace-ingest.err); [ "$$fetches" -eq 2 ] \
+		|| { echo "trace-smoke: $$fetches segment fetches, want 2 (one per worker):" >&2; cat trace-ingest.err >&2; exit 1; }
 	rm -rf eeatsim-bin eeatd-bin trace-smoke-store trace-smoke-dev \
-		trace-smoke.xltrace trace-replay.out trace-ingest.out trace-eeatsim.out
-	@echo "trace-smoke: compiled replay byte-identical; recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster"
+		trace-smoke.xltrace trace-replay.out trace-ingest.out trace-ingest.err trace-eeatsim.out
+	@echo "trace-smoke: compiled replay byte-identical; recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster, fetched once per worker"
 
 # Profile a reduced-scale run and print the hottest ten functions.
 # cpu.prof is left behind for `go tool pprof -http` exploration.

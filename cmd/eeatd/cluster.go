@@ -104,6 +104,12 @@ func runDevCluster(o clusterOpts) int {
 		o.logf("-ingest needs -trace-store")
 		return 2
 	}
+	if o.sim.CompileTraces {
+		// The in-process workers run model cells live; accepting the
+		// flag would silently do nothing.
+		o.logf("-compile-traces is not supported with -cluster (its workers synthesize model cells live)")
+		return 2
+	}
 	if o.exp == "" && o.ingest == "" {
 		o.logf("nothing to run: give -exp, -ingest, or both")
 		return 2

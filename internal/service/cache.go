@@ -1,141 +1,71 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"xlate/internal/keyed"
 )
 
 // resultCache is the content-addressed result store: key → the exact
 // payload bytes the job rendered. Because keys are canonical cell (or
 // experiment) identities, a hit returns bytes that are identical to
 // what re-running the job would produce — the cache is exact, not
-// approximate. Eviction is LRU bounded by entry count and byte size,
-// with an optional TTL; expired entries are dropped lazily on access
-// and proactively when scanning for space.
+// approximate. It is a keyed.Cache (LRU bounded by entry count and
+// payload bytes, optional TTL) that reports its hits, misses,
+// evictions and occupancy to the service metrics.
 type resultCache struct {
-	mu       sync.Mutex
-	maxN     int
-	maxBytes int64
-	ttl      time.Duration
-	now      func() time.Time // test hook
+	c *keyed.Cache[string, []byte]
+	m *metrics
 
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent
-	bytes   int64
-
-	m *metrics // nil in unit tests
-}
-
-type cacheEntry struct {
-	key     string
-	payload []byte
-	stored  time.Time
+	// gaugeMu orders occupancy reads with their gauge writes, so the
+	// last write is always the latest occupancy.
+	gaugeMu sync.Mutex
 }
 
 func newResultCache(maxN int, maxBytes int64, ttl time.Duration, m *metrics) *resultCache {
 	if maxN <= 0 {
 		maxN = 256
 	}
-	return &resultCache{
-		maxN:     maxN,
-		maxBytes: maxBytes,
-		ttl:      ttl,
-		now:      time.Now,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		m:        m,
-	}
+	evicted := func(string, []byte) { m.cacheEvictions.Inc() }
+	return &resultCache{c: keyed.New(maxN, maxBytes, ttl, evicted), m: m}
 }
 
 // get returns the cached payload and records a hit or miss.
 func (c *resultCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if !c.expired(e) {
-			c.lru.MoveToFront(el)
-			if c.m != nil {
-				c.m.cacheHits.Inc()
-			}
-			return e.payload, true
-		}
-		c.removeLocked(el, true)
-	}
-	if c.m != nil {
+	payload, ok := c.c.Get(key)
+	if ok {
+		c.m.cacheHits.Inc()
+	} else {
 		c.m.cacheMisses.Inc()
 	}
-	return nil, false
-}
-
-// peek is get without hit/miss accounting — for presence checks that
-// should not skew the hit ratio (e.g. the status snapshot).
-func (c *resultCache) peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	if c.expired(el.Value.(*cacheEntry)) {
-		c.removeLocked(el, true)
-		return false
-	}
-	return true
-}
-
-// put stores a payload, evicting LRU entries until the count and byte
-// bounds hold again.
-func (c *resultCache) put(key string, payload []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Same key means same bytes by construction; just refresh.
-		e := el.Value.(*cacheEntry)
-		e.stored = c.now()
-		c.lru.MoveToFront(el)
-		return
-	}
-	e := &cacheEntry{key: key, payload: payload, stored: c.now()}
-	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += int64(len(payload))
-	for c.lru.Len() > c.maxN || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		back := c.lru.Back()
-		if back == nil || back == c.lru.Front() {
-			break // never evict the entry just inserted
-		}
-		c.removeLocked(back, true)
-	}
 	c.updateGauges()
+	return payload, ok
 }
 
-func (c *resultCache) expired(e *cacheEntry) bool {
-	return c.ttl > 0 && c.now().Sub(e.stored) > c.ttl
+// peek is get without hit/miss accounting or a recency bump — for
+// presence checks that should not skew the hit ratio (e.g. the status
+// snapshot).
+func (c *resultCache) peek(key string) bool {
+	_, ok := c.c.Peek(key)
+	c.updateGauges()
+	return ok
 }
 
-func (c *resultCache) removeLocked(el *list.Element, evicted bool) {
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	c.bytes -= int64(len(e.payload))
-	if evicted && c.m != nil {
-		c.m.cacheEvictions.Inc()
-	}
+// put stores a payload. Same key means same bytes by construction, so
+// a repeat put only refreshes the entry.
+func (c *resultCache) put(key string, payload []byte) {
+	c.c.Put(key, payload, int64(len(payload)))
 	c.updateGauges()
 }
 
 func (c *resultCache) updateGauges() {
-	if c.m == nil {
-		return
-	}
-	c.m.cacheEntries.Set(int64(c.lru.Len()))
-	c.m.cacheBytes.Set(c.bytes)
+	c.gaugeMu.Lock()
+	defer c.gaugeMu.Unlock()
+	n, bytes := c.c.Stats()
+	c.m.cacheEntries.Set(int64(n))
+	c.m.cacheBytes.Set(bytes)
 }
 
 // stats snapshots the cache occupancy for /status.
-func (c *resultCache) stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len(), c.bytes
-}
+func (c *resultCache) stats() (entries int, bytes int64) { return c.c.Stats() }

@@ -42,6 +42,7 @@ import (
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/harness"
+	"xlate/internal/keyed"
 	"xlate/internal/service/client"
 	"xlate/internal/telemetry"
 	"xlate/internal/tracec"
@@ -167,14 +168,14 @@ type Coordinator struct {
 	workers map[string]*worker
 	epoch   int // bumps on every join, for rejoin ids
 
-	// Crash-survivability state (DESIGN.md §12). completed and flight
-	// are guarded by cmu; lock order is mu before cmu, never the
-	// reverse. tookOver is set once at construction.
+	// Crash-survivability state (DESIGN.md §12). completed is guarded
+	// by cmu; lock order is mu before cmu, never the reverse. tookOver
+	// is set once at construction. cells runs one lead per cell key.
 	jrnl      *clusterJournal
 	tookOver  bool
 	cmu       sync.Mutex
 	completed map[string]core.Result
-	flight    map[string]*cellFlight
+	cells     keyed.Group[string, core.Result]
 
 	watchStop chan struct{}
 	watchDone chan struct{}
@@ -195,7 +196,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ring:      NewRing(cfg.VNodes),
 		workers:   make(map[string]*worker),
 		completed: make(map[string]core.Result),
-		flight:    make(map[string]*cellFlight),
 		watchStop: make(chan struct{}),
 		watchDone: make(chan struct{}),
 	}
@@ -439,11 +439,7 @@ func (c *Coordinator) RingGeneration() int {
 
 // InFlightCells returns the number of cells currently being led by
 // this coordinator (dispatched, probing, or executing locally).
-func (c *Coordinator) InFlightCells() int {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	return len(c.flight)
-}
+func (c *Coordinator) InFlightCells() int { return c.cells.InFlight() }
 
 // pick returns the first live worker on key's preference list not in
 // tried, or nil when none remains.

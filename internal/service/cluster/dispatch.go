@@ -15,63 +15,49 @@ import (
 	"xlate/internal/telemetry"
 )
 
-// cellFlight is one in-flight cell execution shared by every suite
-// that wants the same key: the coordinator-level singleflight that
-// keeps the global cells-executed counter equal to the number of
-// unique cells even when the soak harness drives many concurrent
-// suites through one coordinator.
-type cellFlight struct {
-	done chan struct{}
-	res  core.Result
-	err  error
-}
-
 // executeCell is the harness Config.Execute hook: answer one cell from
 // the completed set, an identical in-flight execution, a federated
-// cache, a worker dispatch, or local fallback — in that order.
+// cache, a worker dispatch, or local fallback — in that order. The
+// coordinator's keyed.Group is the singleflight that keeps the global
+// cells-executed counter equal to the number of unique cells even when
+// the soak harness drives many concurrent suites through one
+// coordinator.
 func (c *Coordinator) executeCell(ctx context.Context, j exper.Job) (core.Result, error) {
 	key := harness.JobKey(j)
-	for {
-		c.cmu.Lock()
-		if res, ok := c.completed[key]; ok {
-			c.cmu.Unlock()
-			c.m.cellsMemo.Inc()
+	if res, ok := c.memoized(key); ok {
+		return res, nil
+	}
+	led := false
+	res, err := c.cells.Do(ctx, key, func() (core.Result, error) {
+		led = true
+		if res, ok := c.memoized(key); ok {
 			return res, nil
 		}
-		if f, ok := c.flight[key]; ok {
-			c.cmu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return core.Result{}, fmt.Errorf("cluster: cell %s: %w", shortKey(key), ctx.Err())
-			}
-			if f.err == nil {
-				c.m.cellsDeduped.Inc()
-				return f.res, nil
-			}
-			// The leader failed. If its failure was its own context dying
-			// (its suite was cancelled, e.g. by a coordinator kill) and we
-			// are still live, take the lead ourselves.
-			if (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) && ctx.Err() == nil {
-				continue
-			}
-			return core.Result{}, f.err
-		}
-		f := &cellFlight{done: make(chan struct{})}
-		c.flight[key] = f
-		c.cmu.Unlock()
-
-		res, err := c.leadCell(ctx, j, key)
-		c.cmu.Lock()
-		f.res, f.err = res, err
-		delete(c.flight, key)
-		c.cmu.Unlock()
-		close(f.done)
-		return res, err
+		return c.leadCell(ctx, j, key)
+	})
+	switch {
+	case err == nil && !led:
+		c.m.cellsDeduped.Inc()
+	case err != nil && err == ctx.Err():
+		// This caller's own context ended while it waited on another
+		// caller's run.
+		err = fmt.Errorf("cluster: cell %s: %w", shortKey(key), err)
 	}
+	return res, err
 }
 
-// leadCell executes one cell as the flight leader: federated probe
+// memoized answers key from the completed set, counting the hit.
+func (c *Coordinator) memoized(key string) (core.Result, bool) {
+	c.cmu.Lock()
+	res, ok := c.completed[key]
+	c.cmu.Unlock()
+	if ok {
+		c.m.cellsMemo.Inc()
+	}
+	return res, ok
+}
+
+// leadCell executes one cell as its key's one run: federated probe
 // first when resuming a predecessor's suite, then dispatch to the ring
 // owner, walking the preference list as workers die.
 //

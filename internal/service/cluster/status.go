@@ -87,12 +87,12 @@ func (c *Coordinator) probeTargets() []workerProbe {
 // /status (bounded by statusProbeTimeout each) for queue occupancy.
 func (c *Coordinator) Status(ctx context.Context) ClusterStatus {
 	c.cmu.Lock()
-	completed, inFlight := len(c.completed), len(c.flight)
+	completed := len(c.completed)
 	c.cmu.Unlock()
 	st := ClusterStatus{
 		RingGeneration: c.RingGeneration(),
 		WorkersLive:    c.LiveWorkers(),
-		InFlightCells:  inFlight,
+		InFlightCells:  c.InFlightCells(),
 		CompletedCells: completed,
 		TookOver:       c.tookOver,
 

@@ -35,6 +35,7 @@ import (
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/harness"
+	"xlate/internal/keyed"
 	"xlate/internal/telemetry"
 	"xlate/internal/tracec"
 )
@@ -108,12 +109,10 @@ type Server struct {
 
 	mu        sync.Mutex
 	draining  bool
-	jobs      map[string]*job // queued or running, by key
-	failures  map[string]failRecord
-	failOrder []string
-	execStats map[string]execRecord
-	execOrder []string
-	avgJobSec float64 // EWMA of completed-job wall-clock
+	jobs      map[string]*job                  // queued or running, by key
+	failures  *keyed.Cache[string, failRecord] // the maxFailures most recent
+	execStats *keyed.Cache[string, execRecord] // the maxFailures most recent
+	avgJobSec float64                          // EWMA of completed-job wall-clock
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -126,8 +125,8 @@ type Server struct {
 
 // failRecord remembers a recently failed job so GET /v1/jobs/{id}
 // stays answerable after the job record leaves the active map. The
-// set is bounded (maxFailures, FIFO) — failures are not cached as
-// results precisely so a resubmission retries.
+// set is bounded (maxFailures, least recently recorded out) — failures
+// are not cached as results precisely so a resubmission retries.
 type failRecord struct {
 	kind     string
 	errMsg   string
@@ -142,7 +141,7 @@ const maxFailures = 128
 // client's wait GET even arrives; without this record that GET would
 // fall through to the bare cache answer and the execution's queue-wait
 // and run time (which the cluster coordinator stitches into its merged
-// trace) would be lost. Bounded like failures (maxFailures, FIFO).
+// trace) would be lost. Bounded like failures.
 type execRecord struct {
 	kind     string
 	traceID  string
@@ -181,8 +180,8 @@ func New(cfg Config) (*Server, error) {
 		m:         m,
 		cache:     newResultCache(cfg.CacheEntries, cfg.CacheBytes, cfg.CacheTTL, m),
 		jobs:      make(map[string]*job),
-		failures:  make(map[string]failRecord),
-		execStats: make(map[string]execRecord),
+		failures:  keyed.New[string, failRecord](maxFailures, 0, 0, nil),
+		execStats: keyed.New[string, execRecord](maxFailures, 0, 0, nil),
 		queue:     make(chan *job, cfg.MaxQueue),
 	}
 	s.exec = &tracec.Executor{Store: cfg.TraceStore, CompileModels: cfg.CompileTraces, Logf: cfg.Logf}
@@ -309,11 +308,16 @@ func (s *Server) runJob(j *job) {
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		s.recordFailureLocked(j)
+		s.failures.Put(j.id, failRecord{kind: j.kind, errMsg: j.errMsg, started: j.started, finished: j.finished}, 0)
 	} else {
 		j.state = StateDone
 		j.payload = payload
-		s.recordExecLocked(j)
+		s.execStats.Put(j.id, execRecord{
+			kind:     j.kind,
+			traceID:  j.res.trace.TraceID,
+			queueSec: j.started.Sub(j.created).Seconds(),
+			execSec:  j.finished.Sub(j.started).Seconds(),
+		}, 0)
 	}
 	delete(s.jobs, j.id)
 	const alpha = 0.3
@@ -356,33 +360,6 @@ func (s *Server) emitJobSpans(j *job, finished time.Time) {
 	}
 	tr.EmitSpan(track, queued, started-queued, "worker", "worker_queue", args...)
 	tr.EmitSpan(track, started, end-started, "worker", "worker_exec", args...)
-}
-
-func (s *Server) recordFailureLocked(j *job) {
-	if _, ok := s.failures[j.id]; !ok {
-		s.failOrder = append(s.failOrder, j.id)
-		if len(s.failOrder) > maxFailures {
-			delete(s.failures, s.failOrder[0])
-			s.failOrder = s.failOrder[1:]
-		}
-	}
-	s.failures[j.id] = failRecord{kind: j.kind, errMsg: j.errMsg, started: j.started, finished: j.finished}
-}
-
-func (s *Server) recordExecLocked(j *job) {
-	if _, ok := s.execStats[j.id]; !ok {
-		s.execOrder = append(s.execOrder, j.id)
-		if len(s.execOrder) > maxFailures {
-			delete(s.execStats, s.execOrder[0])
-			s.execOrder = s.execOrder[1:]
-		}
-	}
-	s.execStats[j.id] = execRecord{
-		kind:     j.kind,
-		traceID:  j.res.trace.TraceID,
-		queueSec: j.started.Sub(j.created).Seconds(),
-		execSec:  j.finished.Sub(j.started).Seconds(),
-	}
 }
 
 // execute runs the job's simulation work and renders its payload. A
@@ -513,8 +490,8 @@ func (s *Server) lookup(id string) (JobStatus, bool) {
 		s.mu.Unlock()
 		return st, true
 	}
-	fr, failed := s.failures[id]
-	er, executed := s.execStats[id]
+	fr, failed := s.failures.Peek(id)
+	er, executed := s.execStats.Peek(id)
 	s.mu.Unlock()
 	if failed {
 		return JobStatus{

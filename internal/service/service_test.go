@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -587,5 +588,25 @@ func TestLogBuffer(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled tail did not return")
+	}
+}
+
+// A wire cell modelling a 64 TiB region is refused at admission with
+// 400, before any worker tries to build it.
+func TestSubmitRefusesHugeFootprint(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	w := EncodeJob(wireTestJob(t))
+	w.Spec.Regions = slices.Clone(w.Spec.Regions)
+	w.Spec.Regions[0].Bytes = 1 << 46
+	body, err := json.Marshal(SubmitRequest{Cell: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, resp := postJob(t, ts, string(body))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "-byte bound") {
+		t.Fatalf("HTTP %d, error %q; want 400 naming the footprint bound", resp.StatusCode, st.Error)
 	}
 }

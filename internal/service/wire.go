@@ -69,6 +69,17 @@ func EncodeJob(j exper.Job) WireJob {
 	}
 }
 
+// Bounds on the cells a worker accepts, so a hostile payload cannot
+// make it allocate without limit. Each admits every cell the suite
+// plans at the largest accepted scale (64): the biggest catalog
+// footprint, mcf's 1.66 GiB, models about 106 GiB there, and no
+// experiment sizes a translation structure beyond a few hundred
+// entries.
+const (
+	maxCellFootprintBytes = 128 << 30
+	maxStructureEntries   = 1 << 16
+)
+
 // Job rebuilds the executable cell and validates it, so a malformed or
 // hostile payload is rejected at the worker boundary instead of
 // panicking inside the simulator.
@@ -86,6 +97,29 @@ func (w WireJob) Job() (exper.Job, error) {
 	}
 	if w.Instrs == 0 || w.Scale <= 0 || w.Scale > 64 {
 		return exper.Job{}, fmt.Errorf("%w: cell instrs=%d scale=%g out of range", ErrBadRequest, w.Instrs, w.Scale)
+	}
+	// Summed in float64 so that hostile region sizes cannot wrap
+	// around to a small total.
+	var footprint float64
+	for _, r := range w.Spec.Regions {
+		footprint += float64(r.Bytes)
+	}
+	if footprint*w.Scale > maxCellFootprintBytes {
+		return exper.Job{}, fmt.Errorf("%w: cell footprint %.0f bytes at scale %g exceeds the %d-byte bound",
+			ErrBadRequest, footprint*w.Scale, w.Scale, maxCellFootprintBytes)
+	}
+	for _, s := range []struct {
+		name    string
+		entries int
+	}{
+		{"L1 4KB TLB", p.L14KEntries}, {"L1 2MB TLB", p.L12MEntries}, {"L2 TLB", p.L2Entries},
+		{"L1 range TLB", p.L1RangeEntries}, {"L2 range TLB", p.L2RangeEntries},
+		{"page-size predictor", p.PredictorEntries},
+	} {
+		if s.entries > maxStructureEntries {
+			return exper.Job{}, fmt.Errorf("%w: cell %s has %d entries, above the %d-entry bound",
+				ErrBadRequest, s.name, s.entries, maxStructureEntries)
+		}
 	}
 	return exper.Job{
 		Spec:   w.Spec,

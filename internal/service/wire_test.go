@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"xlate/internal/core"
@@ -139,5 +140,72 @@ func TestResolveCell(t *testing.T) {
 	}
 	if _, err := resolve(SubmitRequest{Cell: &wire}, cellDefaults{maxInstrs: 10}); err == nil {
 		t.Error("cell over the admission cap accepted")
+	}
+}
+
+// Cells whose modelled footprint or structure sizes would make a
+// worker allocate without limit are refused, with the bound named.
+func TestWireJobRejectsHostileSizes(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(w *WireJob)
+		want string
+	}{
+		{"huge region", func(w *WireJob) { w.Spec.Regions[0].Bytes = 1 << 46 }, "137438953472-byte bound"},
+		{"wrapping regions", func(w *WireJob) {
+			w.Spec.Regions = append(w.Spec.Regions, w.Spec.Regions[0], w.Spec.Regions[0])
+			w.Spec.Regions[1].Bytes, w.Spec.Regions[2].Bytes = 1<<63, 1<<63
+		}, "137438953472-byte bound"},
+		{"footprint at scale", func(w *WireJob) { w.Spec.Regions[0].Bytes = 4 << 30; w.Scale = 64 }, "137438953472-byte bound"},
+		{"L1 4KB", func(w *WireJob) { w.Params.L14KEntries, w.Params.L14KWays = 1<<20, 4 }, "L1 4KB TLB has 1048576 entries, above the 65536-entry bound"},
+		{"L1 2MB", func(w *WireJob) { w.Params.L12MEntries, w.Params.L12MWays = 1<<20, 4 }, "65536-entry bound"},
+		{"L2", func(w *WireJob) { w.Params.L2Entries, w.Params.L2Ways = 1<<20, 4 }, "65536-entry bound"},
+		{"L1 range", func(w *WireJob) { w.Params.L1RangeEntries = 1 << 20 }, "65536-entry bound"},
+		{"L2 range", func(w *WireJob) { w.Params.L2RangeEntries = 1 << 20 }, "65536-entry bound"},
+		{"predictor", func(w *WireJob) { w.Params.PredictorEntries = 1 << 20 }, "page-size predictor has 1048576 entries"},
+	}
+	for _, tc := range cases {
+		w := EncodeJob(wireTestJob(t))
+		w.Spec.Regions = slices.Clone(w.Spec.Regions)
+		tc.edit(&w)
+		_, err := w.Job()
+		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Job() = %v, want ErrBadRequest naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// boundsChecker is an exper.Runner that sends every cell an experiment
+// asks for through the wire form and answers with a placeholder
+// result whose counters are all nonzero, so ratios stay finite.
+type boundsChecker struct {
+	t     *testing.T
+	cells int
+}
+
+func (b *boundsChecker) RunCell(j exper.Job) (core.Result, error) {
+	b.cells++
+	if _, err := EncodeJob(j).Job(); err != nil {
+		b.t.Errorf("%s/%v at scale %g refused: %v", j.Spec.Name, j.Params.Kind, j.Scale, err)
+	}
+	res := core.Result{Instructions: 1000, MemRefs: 500, L1Misses: 100, L2Misses: 10, WalkRefs: 40,
+		Hits4K: 100, Hits2M: 100, Hits1G: 100, HitsRange: 100, LiteResizes: 1, MispredictRate: 0.01,
+		LiteLookupShare: [][]float64{{0.25, 0.25, 0.5}, {0.25, 0.25, 0.5}, {0.25, 0.25, 0.5}}}
+	res.Energy[0] = 1
+	return res, nil
+}
+
+// The bounds admit every cell the suite plans at the largest accepted
+// scale.
+func TestWireBoundsAdmitPlannedCells(t *testing.T) {
+	b := &boundsChecker{t: t}
+	opt := exper.Options{Instrs: 1_000_000, Scale: 64, Seed: 42, Runner: b}
+	for _, e := range exper.All() {
+		if _, err := e.Run(opt); err != nil {
+			t.Errorf("planning %s: %v", e.ID, err)
+		}
+	}
+	if b.cells == 0 {
+		t.Fatal("the suite planned no cells")
 	}
 }

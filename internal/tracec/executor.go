@@ -9,6 +9,7 @@ import (
 
 	"xlate/internal/core"
 	"xlate/internal/exper"
+	"xlate/internal/keyed"
 	"xlate/internal/workloads"
 )
 
@@ -24,10 +25,10 @@ import (
 //     workloads.Spec.Build refuses them.
 //   - Model cells compile-once-replay-many when CompileModels is set:
 //     the first cell for a (spec, policy, seed, scale, budget) tuple
-//     compiles the segment (singleflight), every later cell — including
-//     Params sweeps over the same workload — replays it on the
-//     model-built space (exper.RunModel). Reports stay byte-identical to
-//     live synthesis (see CompileSpec).
+//     compiles the segment (one load per key), every later cell —
+//     including Params sweeps over the same workload — replays it on
+//     the model-built space (exper.RunModel). Reports stay
+//     byte-identical to live synthesis (see CompileSpec).
 //   - Otherwise model cells synthesize live (exper.ExecuteJobContext).
 //
 // The zero Executor therefore runs model cells live and refuses
@@ -45,33 +46,32 @@ type Executor struct {
 	// Logf receives compile/fetch progress (nil = silent).
 	Logf func(format string, args ...any)
 
-	// Validated-segment memo: the harness replays one segment across
-	// many cells (Params sweeps, retries, repeated specs), and the
-	// strict Stat gate plus the disk read should be paid once per
-	// segment, not once per cell. Guarded by mu; bounded by
-	// maxValidatedBytes with a mass flush, which at worst re-reads and
-	// revalidates — never a correctness concern, a Segment is immutable.
-	// loads shares one load and validation among concurrent misses on
-	// one key.
-	mu       sync.Mutex
-	segs     map[string]Segment
-	segBytes int64
-	loads    flights[Segment]
+	// segs memoizes validated segments: the harness replays one
+	// segment across many cells (Params sweeps, retries, repeated
+	// specs), and the strict Stat gate plus the disk read should be
+	// paid once per segment, not once per cell. Past segCacheBytes the
+	// oldest segments go, which at worst re-reads and revalidates —
+	// never a correctness concern, a Segment is immutable. loads shares
+	// one load and validation among concurrent misses on one key.
+	segsOnce sync.Once
+	segs     *keyed.Cache[string, Segment]
+	loads    keyed.Group[string, Segment]
 }
 
-// maxValidatedBytes bounds the in-memory validated-segment memo
-// (256 MiB ≈ a few hundred compiled cells at experiment scale).
-const maxValidatedBytes = 256 << 20
+// segCacheBytes bounds the in-memory validated-segment memo by segment
+// size (256 MiB ≈ a few hundred compiled cells at experiment scale).
+const segCacheBytes = 256 << 20
 
 // segment returns the validated segment under key, loading and
 // validating only on the first request. Concurrent requests for a key
-// that is not memoized share one load (see flights).
+// that is not memoized share one load (see keyed.Group).
 func (e *Executor) segment(ctx context.Context, key string, load func() ([]byte, error)) (Segment, error) {
-	if seg, ok := e.memoized(key); ok {
+	e.segsOnce.Do(func() { e.segs = keyed.New[string, Segment](0, segCacheBytes, 0, nil) })
+	if seg, ok := e.segs.Get(key); ok {
 		return seg, nil
 	}
-	return e.loads.do(ctx, key, func() (Segment, error) {
-		if seg, ok := e.memoized(key); ok {
+	return e.loads.Do(ctx, key, func() (Segment, error) {
+		if seg, ok := e.segs.Get(key); ok {
 			return seg, nil
 		}
 		data, err := load()
@@ -82,26 +82,9 @@ func (e *Executor) segment(ctx context.Context, key string, load func() ([]byte,
 		if err != nil {
 			return Segment{}, err
 		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.segs == nil {
-			e.segs = make(map[string]Segment)
-		}
-		if e.segBytes+int64(len(data)) > maxValidatedBytes {
-			e.segs = make(map[string]Segment)
-			e.segBytes = 0
-		}
-		e.segs[key] = seg
-		e.segBytes += int64(len(data))
+		e.segs.Put(key, seg, int64(len(data)))
 		return seg, nil
 	})
-}
-
-func (e *Executor) memoized(key string) (Segment, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	seg, ok := e.segs[key]
-	return seg, ok
 }
 
 func (e *Executor) logf(format string, args ...any) {
@@ -124,20 +107,23 @@ func (e *Executor) ExecuteJob(ctx context.Context, j exper.Job) (core.Result, er
 }
 
 // replayModel is the compile-once-replay-many path: look up (or
-// compile) the spec's segment and replay it on the model-built space.
+// compile and store) the spec's segment and replay it on the
+// model-built space. The segment flight makes concurrent cells for one
+// key share a single compile.
 func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, error) {
 	bopt := workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}
 	key := Key(j.Spec, bopt, j.Instrs)
 	seg, err := e.segment(ctx, key, func() ([]byte, error) {
-		return e.Store.GetOrCompile(key, func() ([]byte, error) {
-			data, info, cerr := CompileSpec(j.Spec, bopt, j.Instrs)
-			if cerr != nil {
-				return nil, cerr
-			}
-			e.logf("compiled %s → %s (%d refs, %d blocks, %d bytes)",
-				j.Spec.Name, key[:12], info.Refs, info.Blocks, len(data))
+		if data, err := e.Store.Get(key); err == nil {
 			return data, nil
-		})
+		}
+		data, info, err := CompileSpec(j.Spec, bopt, j.Instrs)
+		if err != nil {
+			return nil, err
+		}
+		e.logf("compiled %s → %s (%d refs, %d blocks, %d bytes)",
+			j.Spec.Name, key[:12], info.Refs, info.Blocks, len(data))
+		return data, e.Store.Put(key, data)
 	})
 	if err != nil {
 		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)

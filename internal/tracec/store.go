@@ -1,8 +1,6 @@
 package tracec
 
 import (
-	"container/list"
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -10,36 +8,25 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+
+	"xlate/internal/keyed"
 )
 
 // ErrNotFound reports a segment the store does not hold.
 var ErrNotFound = errors.New("trace segment not found")
 
 // Store is the on-disk, content-addressed segment store: one
-// `<key>.seg` file per compiled or ingested segment, bounded by entry
-// count and total bytes with LRU eviction — the same discipline as the
-// service result cache, except entries live on disk so they survive
-// process restarts and can be served to cluster peers by content hash.
+// `<key>.seg` file per compiled or ingested segment. Its index is a
+// keyed.Cache (key → file size) bounded by entry count and total
+// bytes, the same LRU as the service result cache, whose eviction hook
+// deletes the file; entries live on disk so they survive process
+// restarts and can be served to cluster peers by content hash.
 // Segments are cache entries, not durable state: writes are atomic
 // (temp file + rename) but not fsynced, because a lost segment is
 // recompiled or re-fetched, never healed.
 type Store struct {
-	dir        string
-	maxEntries int
-	maxBytes   int64
-
-	mu      sync.Mutex
-	entries map[string]*list.Element // key → lru element
-	lru     *list.List               // front = most recent; values are *storeEntry
-	bytes   int64
-
-	compiles flights[[]byte]
-}
-
-type storeEntry struct {
-	key   string
-	bytes int64
+	dir   string
+	index *keyed.Cache[string, int64]
 }
 
 // IsKey reports whether key is a well-formed content address — 64
@@ -76,13 +63,10 @@ func OpenStore(dir string, maxEntries int, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tracec: opening store: %w", err)
 	}
-	s := &Store{
-		dir:        dir,
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
-	}
+	s := &Store{dir: dir}
+	s.index = keyed.New(maxEntries, maxBytes, 0, func(key string, _ int64) {
+		os.Remove(s.path(key)) //nolint:errcheck // eviction of a cache file
+	})
 	if err := s.adopt(); err != nil {
 		return nil, err
 	}
@@ -118,36 +102,13 @@ func (s *Store) adopt() error {
 		found = append(found, onDisk{key: key, bytes: fi.Size(), mtime: fi.ModTime().UnixNano()})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, f := range found {
-		s.insertLocked(f.key, f.bytes)
+		s.index.Put(f.key, f.bytes, f.bytes)
 	}
 	return nil
 }
 
 func (s *Store) path(key string) string { return filepath.Join(s.dir, key+".seg") }
-
-// insertLocked records key at the LRU front and evicts past the bounds,
-// never evicting the entry just inserted.
-func (s *Store) insertLocked(key string, n int64) {
-	if el, ok := s.entries[key]; ok {
-		s.bytes += n - el.Value.(*storeEntry).bytes
-		el.Value.(*storeEntry).bytes = n
-		s.lru.MoveToFront(el)
-	} else {
-		s.entries[key] = s.lru.PushFront(&storeEntry{key: key, bytes: n})
-		s.bytes += n
-	}
-	for (s.lru.Len() > s.maxEntries || s.bytes > s.maxBytes) && s.lru.Len() > 1 {
-		el := s.lru.Back()
-		ent := el.Value.(*storeEntry)
-		s.lru.Remove(el)
-		delete(s.entries, ent.key)
-		s.bytes -= ent.bytes
-		os.Remove(s.path(ent.key)) //nolint:errcheck // eviction of a cache file
-	}
-}
 
 // Get returns the segment stored under key, or ErrNotFound. A hit
 // refreshes the entry's LRU position.
@@ -155,33 +116,17 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if !IsKey(key) {
 		return nil, fmt.Errorf("tracec: %w: malformed key %q", ErrNotFound, key)
 	}
-	s.mu.Lock()
-	el, ok := s.entries[key]
-	if ok {
-		s.lru.MoveToFront(el)
-	}
-	s.mu.Unlock()
-	if !ok {
+	if _, ok := s.index.Get(key); !ok {
 		return nil, fmt.Errorf("tracec: %w: %s", ErrNotFound, key)
 	}
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		// The file vanished under us (external cleanup); drop the index
 		// entry and report a miss so the caller recompiles or re-fetches.
-		s.dropIndex(key)
+		s.index.Remove(key)
 		return nil, fmt.Errorf("tracec: %w: %s", ErrNotFound, key)
 	}
 	return data, nil
-}
-
-func (s *Store) dropIndex(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.bytes -= el.Value.(*storeEntry).bytes
-		s.lru.Remove(el)
-		delete(s.entries, key)
-	}
 }
 
 // Put stores a segment under key after validating it (the Stat gate —
@@ -210,35 +155,9 @@ func (s *Store) Put(key string, data []byte) error {
 		os.Remove(tmp.Name()) //nolint:errcheck // best-effort cleanup
 		return fmt.Errorf("tracec: storing %s: %w", key, err)
 	}
-	s.mu.Lock()
-	s.insertLocked(key, int64(len(data)))
-	s.mu.Unlock()
+	s.index.Put(key, int64(len(data)), int64(len(data)))
 	return nil
 }
 
-// GetOrCompile returns the segment under key, invoking compile on a
-// miss. Concurrent callers for the same key share one compilation
-// (singleflight) — the harness fans the same spec across many cells,
-// and exactly one of them should pay the compile.
-func (s *Store) GetOrCompile(key string, compile func() ([]byte, error)) ([]byte, error) {
-	if data, err := s.Get(key); err == nil {
-		return data, nil
-	}
-	return s.compiles.do(context.Background(), key, func() ([]byte, error) {
-		if data, err := s.Get(key); err == nil {
-			return data, nil
-		}
-		data, err := compile()
-		if err == nil {
-			err = s.Put(key, data)
-		}
-		return data, err
-	})
-}
-
 // Stats reports the store's current occupancy.
-func (s *Store) Stats() (entries int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lru.Len(), s.bytes
-}
+func (s *Store) Stats() (entries int, bytes int64) { return s.index.Stats() }

@@ -219,55 +219,6 @@ func TestStoreAdoptOnReopen(t *testing.T) {
 	}
 }
 
-func TestGetOrCompileSingleflight(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, _ := mustSegment(t, synthRefs(100, 4))
-	key := ContentKey(seg)
-
-	var compiles atomic.Int32
-	gate := make(chan struct{})
-	const callers = 8
-	var wg sync.WaitGroup
-	results := make([][]byte, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			data, err := s.GetOrCompile(key, func() ([]byte, error) {
-				compiles.Add(1)
-				<-gate // hold the flight open until every caller has arrived
-				return seg, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = data
-		}(i)
-	}
-	// Wait until one caller is inside compile, then release it; the
-	// rest must join that flight rather than compile again.
-	for compiles.Load() == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if got := compiles.Load(); got != 1 {
-		t.Fatalf("%d compiles for one key, want 1 (singleflight)", got)
-	}
-	for i, data := range results {
-		if !bytes.Equal(data, seg) {
-			t.Fatalf("caller %d got wrong bytes", i)
-		}
-	}
-	// The compiled segment landed in the store.
-	if _, err := s.Get(key); err != nil {
-		t.Fatalf("segment not stored after GetOrCompile: %v", err)
-	}
-}
-
 // externalTrace renders refs in the documented XLTRACE1 upload format
 // (what `eeatsim -record` writes).
 func externalTrace(t *testing.T, refs []trace.Ref) []byte {
@@ -597,6 +548,63 @@ func TestExecutorModelReplayMatchesLive(t *testing.T) {
 	}
 	if n, _ := store.Stats(); n != 2 {
 		t.Fatalf("store holds %d segments, want 2 (one per policy)", n)
+	}
+}
+
+// TestExecutorCompilesOncePerKey sends concurrent cells that share one
+// compiled segment at a compiling executor: exactly one of them
+// compiles, every one gets the same Result, the segment lands in the
+// store, and a second executor on that store replays it without
+// compiling again.
+func TestExecutorCompilesOncePerKey(t *testing.T) {
+	spec, ok := workloads.ByName("swaptions")
+	if !ok {
+		t.Fatal("no swaptions workload")
+	}
+	store, err := OpenStore(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compiles atomic.Int32
+	countCompiles := func(format string, _ ...any) {
+		if strings.HasPrefix(format, "compiled ") {
+			compiles.Add(1)
+		}
+	}
+	j := exper.Job{Spec: spec, Params: core.DefaultParams(core.CfgTLBLite),
+		Policy: core.PolicyFor(core.CfgTLBLite, 0.5), Instrs: 100_000, Scale: 0.25, Seed: 7}
+	ex := &Executor{Store: store, CompileModels: true, Logf: countCompiles}
+	const callers = 4
+	results := make([]core.Result, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = ex.ExecuteJob(context.Background(), j)
+		}(i)
+	}
+	wg.Wait()
+	if n := compiles.Load(); n != 1 {
+		t.Fatalf("%d concurrent cells ran %d compiles, want 1", callers, n)
+	}
+	for i := range results {
+		if errs[i] != nil || !reflect.DeepEqual(results[i], results[0]) {
+			t.Fatalf("caller %d: err %v, or its Result differs from caller 0's", i, errs[i])
+		}
+	}
+	key := Key(spec, workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, j.Instrs)
+	if _, err := store.Get(key); err != nil {
+		t.Fatalf("compiled segment not stored: %v", err)
+	}
+	fresh := &Executor{Store: store, CompileModels: true, Logf: countCompiles}
+	again, err := fresh.ExecuteJob(context.Background(), j)
+	if err != nil || !reflect.DeepEqual(again, results[0]) {
+		t.Fatalf("replay from the store: err %v, or its Result differs", err)
+	}
+	if n := compiles.Load(); n != 1 {
+		t.Fatalf("a stored segment was compiled again (%d compiles)", n)
 	}
 }
 
