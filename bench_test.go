@@ -1,8 +1,9 @@
 // Micro-benchmarks of the workload compiler (internal/tracec): live
-// synthesis vs replay of the same reference stream. The simulator
-// layer's benches are BenchmarkAccess* in internal/core; end-to-end
-// suite, replay and service throughput is measured by perfbench
-// (perfbench/README.md), the repo's one benchmark.
+// synthesis vs replay of the same reference stream, plus the fig2 suite
+// through the harness. The simulator layer's benches are
+// BenchmarkAccess* in internal/core; end-to-end suite, replay and
+// service throughput is measured by perfbench (perfbench/README.md),
+// the repo's one benchmark.
 package xlate_test
 
 import (
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"xlate/internal/core"
+	"xlate/internal/exper"
+	"xlate/internal/harness"
 	"xlate/internal/tracec"
 	"xlate/internal/workloads"
 )
@@ -113,4 +116,26 @@ func BenchmarkReplayCell(b *testing.B) {
 		refs += res.MemRefs
 	}
 	b.ReportMetric(float64(refs)/1e6/b.Elapsed().Seconds(), "Mrefs/s")
+}
+
+// BenchmarkSuiteFig2 is the fig2 suite end to end through
+// harness.Suite at 400 k instructions and scale 0.1: plan, the 24 cells
+// in their 8 stream groups on GOMAXPROCS workers, and render.
+func BenchmarkSuiteFig2(b *testing.B) {
+	e, ok := exper.ByID("fig2")
+	if !ok {
+		b.Fatal("no fig2 experiment")
+	}
+	opt := exper.Options{Instrs: 400_000, Scale: 0.1, Seed: 7}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := harness.New(harness.Config{Options: opt}).Run(context.Background(), []exper.Experiment{e})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if results[0].Err != nil {
+			b.Fatal(results[0].Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/suite")
 }

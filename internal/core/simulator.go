@@ -649,7 +649,8 @@ const cancelCheckRefs = 1 << 14
 // adapter. Either way the run consumes exactly the references it
 // simulates: a budget met mid-block leaves the rest of the block in
 // the source, so a later RunContext on the same source resumes at the
-// next reference.
+// next reference. A source that ends (trace.BlockSource) stops the run
+// with the partial Result and the source's reason.
 func (s *Simulator) RunContext(ctx context.Context, src trace.RefSource, instrBudget uint64) (Result, error) {
 	if t := s.tele; t != nil && t.m != nil {
 		t.m.simsActive.Add(1)
@@ -678,6 +679,10 @@ func (s *Simulator) RunContext(ctx context.Context, src trace.RefSource, instrBu
 			untilPoll = cancelCheckRefs
 		}
 		refs := blocks.Peek()
+		if len(refs) == 0 {
+			// Only a source with an Err method ends (trace.BlockSource).
+			return s.Result(), blocks.(interface{ Err() error }).Err()
+		}
 		if len(refs) > untilPoll {
 			refs = refs[:untilPoll]
 		}

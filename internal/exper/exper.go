@@ -146,15 +146,27 @@ func ExecuteJobContext(ctx context.Context, j Job) (core.Result, error) {
 }
 
 // RunModel simulates j on the address space its spec builds, driven by
-// src, or by the spec's own generator when src is nil. Like RunDemand,
-// a failed run returns its error with the partial Result.
+// src, or by the spec's own stream when src is nil: the shared stream
+// of the Seat in ctx when the cell can join it, else its own
+// generator. Like RunDemand, a failed run returns its error with the
+// partial Result.
 func RunModel(ctx context.Context, j Job, src trace.RefSource) (core.Result, error) {
-	as, gen, err := j.Spec.Build(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
+	seat := seatOf(ctx)
+	if src != nil {
+		seat.Release() // the cell reads its own source
+	}
+	as, regions, err := j.Spec.Map(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
+		seat.Release()
 		return core.Result{}, fmt.Errorf("exper: building %s: %w", j.Spec.Name, err)
 	}
 	if src == nil {
-		src = gen
+		if r := seat.join(ctx, j, regions); r != nil {
+			defer r.leave()
+			src = r
+		} else {
+			src = j.Spec.Generator(regions, j.Seed, 0)
+		}
 	}
 	return simulate(ctx, j, as, src)
 }

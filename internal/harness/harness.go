@@ -13,9 +13,11 @@
 //     every requested cell and answers with a fixed stub result. This
 //     discovers the cell set without simulating anything.
 //  2. Execute: the deduplicated cells (minus any satisfied by a resumed
-//     checkpoint) run on the worker pool. A panicking cell is recovered
-//     into a structured RunError carrying the cell identity, seed,
-//     recovered value, and stack; it fails that cell, never the suite.
+//     checkpoint) run on the worker pool, grouped by the reference
+//     stream they read so a group's members share one generator
+//     (exper.SharedStream). A panicking cell is recovered into a
+//     structured RunError carrying the cell identity, seed, recovered
+//     value, and stack; it fails that cell, never the suite.
 //  3. Render: each experiment re-runs serially against a serving Runner
 //     that answers from the memoized results. A cell the plan missed
 //     (an experiment whose requests depend on simulated values) is
@@ -34,6 +36,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xlate/internal/core"
@@ -44,8 +47,11 @@ import (
 
 // Config parameterizes a Suite.
 type Config struct {
-	// Workers is the number of parallel cell executors (default
-	// GOMAXPROCS).
+	// Workers is the number of cell slots (default GOMAXPROCS). A
+	// stream group — the cells that read one reference stream — holds
+	// min(members, Workers) slots but runs all its members at once, so
+	// a group of more than Workers cells runs more goroutines than
+	// Workers (at most memberCap).
 	Workers int
 	// CellTimeout bounds each cell attempt (0 = no deadline).
 	CellTimeout time.Duration
@@ -179,19 +185,21 @@ func (s *Suite) Run(ctx context.Context, exps []exper.Experiment) ([]ExperimentR
 	}
 
 	jobs := s.plan(exps, opt)
-	pending := 0
+	var todo []plannedJob
 	s.mu.Lock()
 	s.planned = len(jobs)
+	resumed := len(s.memo)
 	for _, pj := range jobs {
 		if _, ok := s.memo[pj.key]; !ok {
-			pending++
+			todo = append(todo, pj)
 		}
 	}
 	s.mu.Unlock()
-	s.cfg.Logf("planned %d cells (%d to execute) across %d experiments, %d workers",
-		len(jobs), pending, len(exps), s.cfg.Workers)
+	groups := streamGroups(todo)
+	s.cfg.Logf("planned %d cells (%d to execute in %d streams) across %d experiments, %d workers",
+		len(jobs), len(todo), len(groups), len(exps), s.cfg.Workers)
 
-	if err := s.execute(ctx, jobs); err != nil {
+	if err := s.execute(ctx, groups, resumed); err != nil {
 		return nil, err
 	}
 
@@ -258,13 +266,11 @@ func (s *Suite) journalCell(key string, res core.Result) {
 }
 
 // plannedJob couples a cell with its content-addressed key and the
-// index of the first experiment that planned it. enqueued is stamped by
-// the execute feed loop so workers can report queue wait.
+// index of the first experiment that planned it.
 type plannedJob struct {
-	key      string
-	job      exper.Job
-	exp      int
-	enqueued time.Time
+	key string
+	job exper.Job
+	exp int
 }
 
 // plan discovers the deduplicated cell set by running every experiment
@@ -293,20 +299,39 @@ func planOne(e exper.Experiment, opt exper.Options) (err error) {
 	return err
 }
 
-// execute runs every not-yet-memoized cell on the worker pool. It
-// returns an error only when ctx was cancelled before all cells
-// completed; cell failures are recorded per key.
-func (s *Suite) execute(ctx context.Context, jobs []plannedJob) error {
-	todo := make([]plannedJob, 0, len(jobs))
-	s.mu.Lock()
-	resumed := len(s.memo)
-	for _, pj := range jobs {
-		if _, ok := s.memo[pj.key]; !ok {
-			todo = append(todo, pj)
+// memberCap bounds a stream group. A larger group is split, so one
+// group never holds more than memberCap address spaces at once.
+const memberCap = 6
+
+// streamGroups partitions the cells by exper.StreamKey, at most
+// memberCap cells a group, in the order of each group's first cell.
+func streamGroups(todo []plannedJob) [][]plannedJob {
+	var groups [][]plannedJob
+	open := make(map[string]int) // stream key → index of its last group
+	for _, pj := range todo {
+		k := exper.StreamKey(pj.job)
+		i, ok := open[k]
+		if !ok || len(groups[i]) == memberCap {
+			i = len(groups)
+			open[k] = i
+			groups = append(groups, nil)
 		}
+		groups[i] = append(groups[i], pj)
 	}
-	s.mu.Unlock()
-	if len(todo) == 0 {
+	return groups
+}
+
+// execute runs the stream groups of the not-yet-memoized cells. A
+// group's members start together, each with a seat on the group's
+// shared stream, and hold min(members, Workers) of the Workers slots:
+// as members finish, the group keeps min(running, its slots). A group
+// thus runs more goroutines than Workers when it has more members, so
+// that no member waits on a stream whose slowest reader has not
+// started. execute returns an error only when ctx was cancelled before
+// all cells completed; cell failures are recorded per key. resumed is
+// how many cells the memo held before executing.
+func (s *Suite) execute(ctx context.Context, groups [][]plannedJob, resumed int) error {
+	if len(groups) == 0 {
 		return ctx.Err()
 	}
 
@@ -324,30 +349,37 @@ func (s *Suite) execute(ctx context.Context, jobs []plannedJob) error {
 		defer close(stop)
 	}
 
-	ch := make(chan plannedJob)
+	slots := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
-	for i := 0; i < s.cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pj := range ch {
-				if s.hm != nil {
-					s.hm.queueSeconds.Observe(time.Since(pj.enqueued).Seconds())
-				}
-				s.runAndRecord(ctx, pj)
-			}
-		}()
-	}
 feed:
-	for i := range todo {
-		todo[i].enqueued = time.Now()
-		select {
-		case <-ctx.Done():
-			break feed
-		case ch <- todo[i]:
+	for _, g := range groups {
+		enqueued := time.Now()
+		hold := min(len(g), s.cfg.Workers)
+		for i := 0; i < hold; i++ {
+			select {
+			case <-ctx.Done():
+				break feed
+			case slots <- struct{}{}:
+			}
+		}
+		var running atomic.Int32
+		running.Store(int32(len(g)))
+		seats := exper.SharedStream(exper.StreamKey(g[0].job), len(g))
+		for i, pj := range g {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if s.hm != nil {
+					s.hm.queueSeconds.Observe(time.Since(enqueued).Seconds())
+				}
+				s.runAndRecord(exper.WithSeat(ctx, seats[i]), pj)
+				seats[i].Release()
+				if int(running.Add(-1)) < hold {
+					<-slots
+				}
+			}()
 		}
 	}
-	close(ch)
 	wg.Wait()
 	return ctx.Err()
 }

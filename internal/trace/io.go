@@ -132,11 +132,14 @@ type RefSource interface {
 // BlockSource is a RefSource that holds references already materialized
 // in memory and hands them out a block at a time, so a consumer can run
 // over a slice instead of calling Next per reference. Peek returns the
-// buffered references without consuming them; it is never empty,
-// because the stream is infinite, and the slice is valid only until the
-// next call to any of the three methods. Skip(n) consumes the first n
-// of them (n at most len(Peek())). Next, Peek and Skip all advance the
-// same position.
+// buffered references without consuming them; it is never empty while
+// the stream lasts, and the slice is valid only until the next call to
+// any of the three methods. Skip(n) consumes the first n of them (n at
+// most len(Peek())). Next, Peek and Skip all advance the same position.
+//
+// Only a source with an Err method may end: Peek then returns no
+// references and Err says why (a shared stream's reader whose context
+// ended, say). Next must not be called on an ended source.
 type BlockSource interface {
 	RefSource
 	Peek() []Ref

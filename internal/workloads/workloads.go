@@ -181,11 +181,11 @@ type BuildOptions struct {
 // Build instantiates the workload: it creates the address space (mapping
 // every region under the policy) and the paced reference generator.
 func (s Spec) Build(opt BuildOptions) (*vm.AddressSpace, *trace.Generator, error) {
-	as, gens, err := s.BuildThreads(opt, 1)
+	as, regions, err := s.Map(opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	return as, gens[0], nil
+	return as, s.Generator(regions, opt.Seed, 0), nil
 }
 
 // BuildThreads instantiates the workload once and returns one reference
@@ -196,6 +196,22 @@ func (s Spec) BuildThreads(opt BuildOptions, threads int) (*vm.AddressSpace, []*
 	if threads <= 0 {
 		return nil, nil, fmt.Errorf("workloads: need at least one thread")
 	}
+	as, regions, err := s.Map(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	gens := make([]*trace.Generator, threads)
+	for t := range gens {
+		gens[t] = s.Generator(regions, opt.Seed, t)
+	}
+	return as, gens, nil
+}
+
+// Map creates the address space and maps every region under the
+// policy, returning the regions in spec order. The regions' windows
+// are all a generator depends on besides the seed: the policy moves a
+// base only when GBPages aligns a region of at least 1 GB.
+func (s Spec) Map(opt BuildOptions) (*vm.AddressSpace, []vm.Region, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -230,43 +246,44 @@ func (s Spec) BuildThreads(opt BuildOptions, threads int) (*vm.AddressSpace, []*
 		}
 		regions[i] = reg
 	}
+	return as, regions, nil
+}
 
-	gens := make([]*trace.Generator, threads)
-	for t := range gens {
-		seed := opt.Seed + int64(t)*0x5851f42d4c957f2d
-		nextSeed := func() int64 { seed = seed*6364136223846793005 + 1442695040888963407; return seed }
+// Generator returns thread t's paced reference generator over regions,
+// which must be the ones Map returned for this spec.
+func (s Spec) Generator(regions []vm.Region, seed int64, t int) *trace.Generator {
+	seed += int64(t) * 0x5851f42d4c957f2d
+	nextSeed := func() int64 { seed = seed*6364136223846793005 + 1442695040888963407; return seed }
 
-		var phases []trace.Phase
-		for _, ps := range s.Phases {
-			var parts []trace.Weighted
-			for _, a := range ps.Access {
-				reg := regions[a.Region]
-				w := trace.Window{Base: reg.Base, Size: reg.Size}
-				var st trace.Stream
-				switch a.Pattern {
-				case Seq:
-					st = trace.Sequential(w, a.Stride)
-				case Uni:
-					st = trace.Uniform(w, nextSeed())
-				case Zpf:
-					st = trace.Zipf(w, a.ZipfS, nextSeed())
-				case Chs:
-					st = trace.Chase(w, nextSeed())
-				}
-				if a.Burst > 1 {
-					st = trace.Burst(st, a.Burst, nextSeed())
-				}
-				parts = append(parts, trace.Weighted{Stream: st, Weight: a.Weight})
+	var phases []trace.Phase
+	for _, ps := range s.Phases {
+		var parts []trace.Weighted
+		for _, a := range ps.Access {
+			reg := regions[a.Region]
+			w := trace.Window{Base: reg.Base, Size: reg.Size}
+			var st trace.Stream
+			switch a.Pattern {
+			case Seq:
+				st = trace.Sequential(w, a.Stride)
+			case Uni:
+				st = trace.Uniform(w, nextSeed())
+			case Zpf:
+				st = trace.Zipf(w, a.ZipfS, nextSeed())
+			case Chs:
+				st = trace.Chase(w, nextSeed())
 			}
-			phases = append(phases, trace.Phase{Stream: trace.Mix(nextSeed(), parts...), Refs: ps.Refs})
+			if a.Burst > 1 {
+				st = trace.Burst(st, a.Burst, nextSeed())
+			}
+			parts = append(parts, trace.Weighted{Stream: st, Weight: a.Weight})
 		}
-		var stream trace.Stream
-		if len(phases) == 1 {
-			stream = phases[0].Stream
-		} else {
-			stream = trace.Phased(phases...)
-		}
-		gens[t] = trace.NewGenerator(stream, s.InstrPerRef)
+		phases = append(phases, trace.Phase{Stream: trace.Mix(nextSeed(), parts...), Refs: ps.Refs})
 	}
-	return as, gens, nil
+	var stream trace.Stream
+	if len(phases) == 1 {
+		stream = phases[0].Stream
+	} else {
+		stream = trace.Phased(phases...)
+	}
+	return trace.NewGenerator(stream, s.InstrPerRef)
 }
