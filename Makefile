@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzZipfSampler -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/harness
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/tracec
+	$(GO) test -fuzz=FuzzIngest -fuzztime=10s ./internal/tracec
 	$(GO) test -fuzz=FuzzSimulateTrace -fuzztime=10s ./internal/tracec
 
 # Observability run (DESIGN.md §8): a reduced-scale experiment with

@@ -7,12 +7,14 @@
 package xlate_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/harness"
+	"xlate/internal/trace"
 	"xlate/internal/tracec"
 	"xlate/internal/workloads"
 )
@@ -75,6 +77,34 @@ func BenchmarkTraceReplaySegment(b *testing.B) {
 		}
 		b.ReportMetric(float64(refs), "refs/op")
 	}
+}
+
+// BenchmarkTraceIngest is one POST /v1/traces upload's decode and
+// transcode: a 100 k-reference XLTRACE1 recording of the pair's stream
+// through tracec.Ingest into a canonical segment.
+func BenchmarkTraceIngest(b *testing.B) {
+	spec, bopt, _ := traceBenchOptions(b)
+	_, gen, err := spec.Build(bopt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const refs = 100_000
+	recorded := make([]trace.Ref, refs)
+	for i := range recorded {
+		recorded[i] = gen.Next()
+	}
+	var upload bytes.Buffer
+	if err := trace.WriteAll(&upload, recorded); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(upload.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tracec.Ingest(upload.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refs, "ns/ref")
 }
 
 // BenchmarkReplayCell is one compiled replay cell end to end through

@@ -34,7 +34,11 @@ func TestCellShapesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, _, err := tracec.EncodeRefs(refs)
+	data, _, err := tracec.EncodeRefs(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := tracec.Validate(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func TestCellShapesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := tracec.ContentKey(seg)
+	key := tracec.ContentKey(data)
 	if err := store.Put(key, seg); err != nil {
 		t.Fatal(err)
 	}

@@ -176,6 +176,9 @@ func resolve(req SubmitRequest, edb cellDefaults) (resolved, error) {
 	if !found {
 		return resolved{}, fmt.Errorf("%w: unknown config %q", ErrBadRequest, req.Config)
 	}
+	if err := checkSeries(req.Instrs, req.Interval); err != nil {
+		return resolved{}, err
+	}
 	p := core.DefaultParams(kind)
 	p.SeriesIntervalInstrs = req.Interval
 	j := exper.Job{

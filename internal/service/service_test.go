@@ -503,6 +503,7 @@ func TestResolveValidation(t *testing.T) {
 		{"scale too large", SubmitRequest{Workload: "mcf", Config: "4KB", Scale: 65}, 0, "out of range"},
 		{"negative scale", SubmitRequest{Workload: "mcf", Config: "4KB", Scale: -1}, 0, "out of range"},
 		{"over the cap", SubmitRequest{Workload: "mcf", Config: "4KB", Instrs: 2_000_000}, 1_000_000, "admission cap"},
+		{"series too long", SubmitRequest{Workload: "mcf", Config: "4KB", Interval: 1}, 0, "1048576-point bound"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -608,5 +609,22 @@ func TestSubmitRefusesHugeFootprint(t *testing.T) {
 	st, resp := postJob(t, ts, string(body))
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "-byte bound") {
 		t.Fatalf("HTTP %d, error %q; want 400 naming the footprint bound", resp.StatusCode, st.Error)
+	}
+}
+
+// A cell asking for one series point per instruction at the default
+// 20 M instructions (three series of 20 M float64s) is refused with
+// 400 naming the bound; one point per million instructions is not.
+func TestSubmitRefusesHugeSeries(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	st, resp := postJob(t, ts, `{"workload":"mcf","config":"4KB","interval":1}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "1048576-point bound") {
+		t.Fatalf("HTTP %d, error %q; want 400 naming the series bound", resp.StatusCode, st.Error)
+	}
+	if _, err := resolve(SubmitRequest{Workload: "mcf", Config: "4KB", Interval: 1_000_000}, cellDefaults{}); err != nil {
+		t.Fatalf("a 1 M-instruction interval was refused: %v", err)
 	}
 }

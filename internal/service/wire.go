@@ -72,13 +72,26 @@ func EncodeJob(j exper.Job) WireJob {
 // Bounds on the cells a worker accepts, so a hostile payload cannot
 // make it allocate without limit. Each admits every cell the suite
 // plans at the largest accepted scale (64): the biggest catalog
-// footprint, mcf's 1.66 GiB, models about 106 GiB there, and no
+// footprint, mcf's 1.66 GiB, models about 106 GiB there; no
 // experiment sizes a translation structure beyond a few hundred
-// entries.
+// entries; and the interval experiments collect max(16, Instrs/1 M)
+// points per series.
 const (
 	maxCellFootprintBytes = 128 << 30
 	maxStructureEntries   = 1 << 16
+	maxSeriesPoints       = 1 << 20
 )
+
+// checkSeries refuses a series interval that would collect more than
+// maxSeriesPoints points (Instrs/Interval) in each of a cell's three
+// float64 series.
+func checkSeries(instrs, interval uint64) error {
+	if interval > 0 && instrs/interval > maxSeriesPoints {
+		return fmt.Errorf("%w: interval %d over %d instrs collects %d points per series, above the %d-point bound",
+			ErrBadRequest, interval, instrs, instrs/interval, maxSeriesPoints)
+	}
+	return nil
+}
 
 // Job rebuilds the executable cell and validates it, so a malformed or
 // hostile payload is rejected at the worker boundary instead of
@@ -97,6 +110,9 @@ func (w WireJob) Job() (exper.Job, error) {
 	}
 	if w.Instrs == 0 || w.Scale <= 0 || w.Scale > 64 {
 		return exper.Job{}, fmt.Errorf("%w: cell instrs=%d scale=%g out of range", ErrBadRequest, w.Instrs, w.Scale)
+	}
+	if err := checkSeries(w.Instrs, p.SeriesIntervalInstrs); err != nil {
+		return exper.Job{}, err
 	}
 	// Summed in float64 so that hostile region sizes cannot wrap
 	// around to a small total.

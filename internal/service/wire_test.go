@@ -163,6 +163,7 @@ func TestWireJobRejectsHostileSizes(t *testing.T) {
 		{"L1 range", func(w *WireJob) { w.Params.L1RangeEntries = 1 << 20 }, "65536-entry bound"},
 		{"L2 range", func(w *WireJob) { w.Params.L2RangeEntries = 1 << 20 }, "65536-entry bound"},
 		{"predictor", func(w *WireJob) { w.Params.PredictorEntries = 1 << 20 }, "page-size predictor has 1048576 entries"},
+		{"series", func(w *WireJob) { w.Instrs, w.Params.SeriesIntervalInstrs = 20_000_000, 1 }, "1048576-point bound"},
 	}
 	for _, tc := range cases {
 		w := EncodeJob(wireTestJob(t))

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"xlate/internal/addr"
 )
@@ -17,34 +19,133 @@ import (
 //	records: zigzag-varint(va delta from previous va), uvarint(instrs)
 //
 // Delta encoding keeps spatially local traces small (a few bytes per
-// reference); the format is streaming-friendly in both directions.
+// reference); the format is streaming-friendly in both directions. A
+// compiled segment's block payload (internal/tracec) is the same
+// record encoding, so AppendRecord and Decoder are the one codec both
+// formats use.
 
-var traceMagic = []byte("XLTRACE1\n")
+// Magic is the header every XLTRACE1 stream starts with.
+const Magic = "XLTRACE1\n"
+
+// ErrBadRecord is wrapped by every record decode failure: a varint cut
+// short by the end of the input, or one that overflows 64 bits.
+var ErrBadRecord = errors.New("malformed trace record")
+
+// AppendRecord appends the record for r to b: the zigzag varint of the
+// wrapping delta from prev (the previous reference's VA) to r.VA, then
+// the uvarint of r.Instrs.
+func AppendRecord(b []byte, prev addr.VA, r Ref) []byte {
+	b = binary.AppendVarint(b, int64(r.VA-prev))
+	return binary.AppendUvarint(b, r.Instrs)
+}
+
+// Decoder decodes a run of records from a byte slice, the first one's
+// VA delta taken from zero.
+type Decoder struct {
+	p    []byte
+	off  int
+	prev addr.VA
+}
+
+// NewDecoder returns a Decoder over the records in p.
+func NewDecoder(p []byte) Decoder { return Decoder{p: p} }
+
+// Len returns the number of bytes not yet decoded.
+func (d *Decoder) Len() int { return len(d.p) - d.off }
+
+// Decode appends up to n records to dst, fewer when the input ends
+// first. A record cut short or carrying an overflowing varint stops it
+// with an error wrapping ErrBadRecord; the records before it are
+// appended and consumed. The varints decode exactly as binary.Varint
+// and binary.Uvarint do (FuzzReadTrace checks this against
+// binary.ReadVarint).
+func (d *Decoder) Decode(dst []Ref, n int) ([]Ref, error) {
+	p, off, prev := d.p, d.off, d.prev
+	var err error
+	for ; n > 0 && off < len(p); n-- {
+		ux, next := varintAt(p, off)
+		if next < 0 {
+			err = fmt.Errorf("%w: VA delta at offset %d cut short or overflowing", ErrBadRecord, off)
+			break
+		}
+		instrs, end := varintAt(p, next)
+		if end < 0 {
+			err = fmt.Errorf("%w: instruction count at offset %d cut short or overflowing", ErrBadRecord, next)
+			break
+		}
+		prev += addr.VA(int64(ux>>1) ^ -int64(ux&1)) // zigzag decode
+		off = end
+		dst = append(dst, Ref{VA: prev, Instrs: instrs})
+	}
+	d.off, d.prev = off, prev
+	return dst, err
+}
+
+// varintAt decodes the unsigned varint at p[off:] and returns it with
+// the offset just past it, or offset -1 when the encoding is truncated
+// or overflows 64 bits (binary.Uvarint's n <= 0).
+//
+// A one-byte varint returns at once. Otherwise, when eight bytes are
+// left, it reads them as one little-endian word: a varint of up to
+// eight bytes ends at the word's first byte with the high bit clear,
+// and its seven-bit groups are packed together in three mask-and-shift
+// steps. Such a varint carries at most 56 bits and cannot overflow.
+// Longer varints and the last bytes of the input take the byte loop.
+func varintAt(p []byte, off int) (uint64, int) {
+	if off < len(p) && p[off] < 0x80 {
+		return uint64(p[off]), off + 1
+	}
+	if off+8 <= len(p) {
+		w := binary.LittleEndian.Uint64(p[off:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
+			w &= (uint64(1)<<end - 1) & 0x7f7f7f7f7f7f7f7f
+			w = (w&0x7f007f007f007f00)>>1 | w&0x007f007f007f007f
+			w = (w&0x3fff00003fff0000)>>2 | w&0x00003fff00003fff
+			w = (w&0x0fffffff00000000)>>4 | w&0x000000000fffffff
+			return w, off + end/8
+		}
+	}
+	var x uint64
+	for s := uint(0); off < len(p); s += 7 {
+		b := p[off]
+		off++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1
+			}
+			return x | uint64(b)<<s, off
+		}
+		if s == 63 {
+			return 0, -1
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, -1
+}
 
 // Writer encodes references to an io.Writer.
 type Writer struct {
 	w    *bufio.Writer
-	prev uint64
-	buf  [2 * binary.MaxVarintLen64]byte
+	prev addr.VA
+	buf  []byte
 }
 
 // NewWriter writes the trace header and returns a Writer. Call Flush
 // when done.
 func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic); err != nil {
+	if _, err := bw.WriteString(Magic); err != nil {
 		return nil, fmt.Errorf("trace: writing header: %w", err)
 	}
-	return &Writer{w: bw}, nil
+	return &Writer{w: bw, buf: make([]byte, 0, 2*binary.MaxVarintLen64)}, nil
 }
 
 // Write appends one reference.
 func (tw *Writer) Write(r Ref) error {
-	delta := int64(uint64(r.VA) - tw.prev) // wrapping delta
-	n := binary.PutVarint(tw.buf[:], delta)
-	n += binary.PutUvarint(tw.buf[n:], r.Instrs)
-	tw.prev = uint64(r.VA)
-	if _, err := tw.w.Write(tw.buf[:n]); err != nil {
+	tw.buf = AppendRecord(tw.buf[:0], tw.prev, r)
+	tw.prev = r.VA
+	if _, err := tw.w.Write(tw.buf); err != nil {
 		return fmt.Errorf("trace: writing record: %w", err)
 	}
 	return nil
@@ -53,60 +154,22 @@ func (tw *Writer) Write(r Ref) error {
 // Flush writes any buffered records through to the underlying writer.
 func (tw *Writer) Flush() error { return tw.w.Flush() }
 
-// Reader decodes references from an io.Reader.
-type Reader struct {
-	r    *bufio.Reader
-	prev uint64
-}
-
-// NewReader validates the trace header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(head) != string(traceMagic) {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next decodes the next reference, returning io.EOF at a clean end of
-// trace.
-func (tr *Reader) Next() (Ref, error) {
-	delta, err := binary.ReadVarint(tr.r)
-	if err == io.EOF {
-		return Ref{}, io.EOF
-	}
-	if err != nil {
-		return Ref{}, fmt.Errorf("trace: reading va: %w", err)
-	}
-	instrs, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return Ref{}, fmt.Errorf("trace: truncated record: %w", err)
-	}
-	tr.prev += uint64(delta)
-	return Ref{VA: addr.VA(tr.prev), Instrs: instrs}, nil
-}
-
 // ReadAll decodes an entire trace into memory.
 func ReadAll(r io.Reader) ([]Ref, error) {
-	tr, err := NewReader(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
-	var out []Ref
-	for {
-		ref, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ref)
+	body, ok := bytes.CutPrefix(data, []byte(Magic))
+	if !ok {
+		return nil, fmt.Errorf("trace: bad magic %q", data[:min(len(data), len(Magic))])
 	}
+	d := NewDecoder(body)
+	refs, err := d.Decode(nil, len(body))
+	if err != nil {
+		return nil, fmt.Errorf("trace: record %d: %w", len(refs), err)
+	}
+	return refs, nil
 }
 
 // WriteAll encodes a complete trace.

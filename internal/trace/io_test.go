@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
@@ -127,5 +128,46 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVarintAtMatchesBinary pins varintAt to binary.Uvarint for every
+// encoded length from 1 to 10 bytes, canonical and zero-padded, at
+// every distance from the end of the buffer up to 16 bytes, and for
+// every truncation of each.
+func TestVarintAtMatchesBinary(t *testing.T) {
+	var encs [][]byte
+	for l := 1; l <= 10; l++ {
+		lo := uint64(1) << (7 * (l - 1))
+		for _, v := range []uint64{lo, lo | lo>>1 | 1, lo<<7 - 1} {
+			if l == 1 {
+				v &= 0x7f
+			}
+			encs = append(encs, binary.AppendUvarint(nil, v))
+		}
+		// Zero-padded (non-canonical) form of 1: binary.Uvarint accepts it.
+		pad := append(bytes.Repeat([]byte{0x80}, l-1), 0)
+		pad[0] |= 1
+		encs = append(encs, pad)
+	}
+	encs = append(encs, append(bytes.Repeat([]byte{0xff}, 9), 0x02), bytes.Repeat([]byte{0x80}, 11))
+	for _, enc := range encs {
+		for tail := 0; tail <= 16; tail++ {
+			buf := append(append([]byte{0x55}, enc...), bytes.Repeat([]byte{0x81}, tail)...)
+			for end := 1; end <= len(buf); end++ {
+				p := buf[:end]
+				want, n := binary.Uvarint(p[1:])
+				got, next := varintAt(p, 1)
+				if n <= 0 {
+					if next != -1 {
+						t.Fatalf("% x: varintAt accepted (%d, %d), binary.Uvarint refused", p[1:], got, next)
+					}
+					continue
+				}
+				if got != want || next != 1+n {
+					t.Fatalf("% x: varintAt = (%d, %d), binary.Uvarint = (%d, %d)", p[1:], got, next, want, 1+n)
+				}
+			}
+		}
 	}
 }

@@ -65,7 +65,7 @@ const segCacheBytes = 256 << 20
 // segment returns the validated segment under key, loading and
 // validating only on the first request. Concurrent requests for a key
 // that is not memoized share one load (see keyed.Group).
-func (e *Executor) segment(ctx context.Context, key string, load func() ([]byte, error)) (Segment, error) {
+func (e *Executor) segment(ctx context.Context, key string, load func() (Segment, error)) (Segment, error) {
 	e.segsOnce.Do(func() { e.segs = keyed.New[string, Segment](0, segCacheBytes, 0, nil) })
 	if seg, ok := e.segs.Get(key); ok {
 		return seg, nil
@@ -74,15 +74,11 @@ func (e *Executor) segment(ctx context.Context, key string, load func() ([]byte,
 		if seg, ok := e.segs.Get(key); ok {
 			return seg, nil
 		}
-		data, err := load()
+		seg, err := load()
 		if err != nil {
 			return Segment{}, err
 		}
-		seg, err := Validate(data)
-		if err != nil {
-			return Segment{}, err
-		}
-		e.segs.Put(key, seg, int64(len(data)))
+		e.segs.Put(key, seg, int64(len(seg.Bytes())))
 		return seg, nil
 	})
 }
@@ -113,17 +109,21 @@ func (e *Executor) ExecuteJob(ctx context.Context, j exper.Job) (core.Result, er
 func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, error) {
 	bopt := workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}
 	key := Key(j.Spec, bopt, j.Instrs)
-	seg, err := e.segment(ctx, key, func() ([]byte, error) {
+	seg, err := e.segment(ctx, key, func() (Segment, error) {
 		if data, err := e.Store.Get(key); err == nil {
-			return data, nil
+			return Validate(data)
 		}
 		data, info, err := CompileSpec(j.Spec, bopt, j.Instrs)
 		if err != nil {
-			return nil, err
+			return Segment{}, err
+		}
+		seg, err := Validate(data)
+		if err != nil {
+			return Segment{}, err
 		}
 		e.logf("compiled %s → %s (%d refs, %d blocks, %d bytes)",
 			j.Spec.Name, key[:12], info.Refs, info.Blocks, len(data))
-		return data, e.Store.Put(key, data)
+		return seg, e.Store.Put(key, seg)
 	})
 	if err != nil {
 		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
@@ -143,16 +143,26 @@ func (e *Executor) replayIngested(ctx context.Context, j exper.Job) (core.Result
 		return core.Result{}, fmt.Errorf("tracec: trace-backed cell %s needs a segment store", j.Spec.Name)
 	}
 	key := j.Spec.TraceRef
-	seg, err := e.segment(ctx, key, func() ([]byte, error) {
+	seg, err := e.segment(ctx, key, func() (Segment, error) {
 		data, err := e.Store.Get(key)
-		if err != nil && e.Fetch != nil {
-			if data, err = e.Fetch(ctx, key); err == nil {
-				if err = e.Store.Put(key, data); err == nil {
-					e.logf("fetched segment %s from upstream (%d bytes)", key[:12], len(data))
-				}
-			}
+		switch {
+		case err == nil:
+			return Validate(data)
+		case e.Fetch == nil:
+			return Segment{}, err
 		}
-		return data, err
+		if data, err = e.Fetch(ctx, key); err != nil {
+			return Segment{}, err
+		}
+		seg, err := Validate(data)
+		if err != nil {
+			return Segment{}, err
+		}
+		if err := e.Store.Put(key, seg); err != nil {
+			return Segment{}, err
+		}
+		e.logf("fetched segment %s from upstream (%d bytes)", key[:12], len(data))
+		return seg, nil
 	})
 	if err != nil {
 		return core.Result{}, fmt.Errorf("tracec: %s: %w", j.Spec.Name, err)

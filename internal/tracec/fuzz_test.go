@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -172,6 +175,124 @@ func FuzzSimulateTrace(f *testing.F) {
 	})
 }
 
+// FuzzIngest is the differential contract of the one-pass XLTRACE1
+// transcoder: for every input, Ingest must agree with refIngest, the
+// decode-then-encode ingest it replaced, kept here as the reference.
+// When both accept, the segment bytes (and so the content key) must be
+// identical; when they refuse, both must wrap ErrBadTrace, or
+// ErrSegmentCorrupt for XLSEGv1 input. Run continuously with `make
+// fuzz`.
+func FuzzIngest(f *testing.F) {
+	for _, n := range []int{1, 7, 300, blockRefs + 3} {
+		f.Add(recordRefs(f, synthRefs(n, int64(n))))
+	}
+	f.Add(recordRefs(f, []trace.Ref{{VA: 1 << 30, Instrs: 2}, {VA: 1<<30 + 64, Instrs: 0}}))
+	// Instruction counts whose sum wraps to zero, and to non-zero.
+	f.Add(recordRefs(f, []trace.Ref{{VA: 1 << 30, Instrs: 1 << 63}, {VA: 64, Instrs: 1 << 63}}))
+	f.Add(recordRefs(f, []trace.Ref{{VA: 1 << 30, Instrs: 1 << 63}, {VA: 64, Instrs: 1<<63 + 5}}))
+	// Zero-padded varints, which a canonical re-encoding shortens.
+	f.Add([]byte("XLTRACE1\n\x82\x80\x80\x00\x81\x00\x02\x01"))
+	seg, _, err := EncodeRefs(synthRefs(40, 5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-1])
+	f.Add([]byte("XLTRACE1\n"))
+	f.Add([]byte("XLTRACE1\n\x02"))
+	f.Add([]byte("garbage"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, info, err := Ingest(data)
+		want, wantErr := refIngest(data)
+		if err != nil || wantErr != nil {
+			class := ErrBadTrace
+			if bytes.HasPrefix(data, []byte(segMagic)) {
+				class = ErrSegmentCorrupt
+			}
+			if !errors.Is(err, class) || !errors.Is(wantErr, class) {
+				t.Fatalf("Ingest says %v, the reference says %v; both must wrap %v", err, wantErr, class)
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Ingest emitted %d bytes that differ from the reference's %d", len(got), len(want))
+		}
+		if stat, err := Stat(got); err != nil || stat != info {
+			t.Fatalf("Ingest reported %+v; Stat says %+v, %v", info, stat, err)
+		}
+	})
+}
+
+// refIngest is the ingest path the one-pass transcoder replaced: decode
+// the whole XLTRACE1 stream into references with binary.ReadVarint,
+// check the pacing rule, encode the slice with refEncodeRefs, and run
+// the Stat gate that Store.Put applied to the result.
+func refIngest(data []byte) ([]byte, error) {
+	if bytes.HasPrefix(data, []byte(segMagic)) {
+		if _, err := Stat(data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	if !bytes.HasPrefix(data, []byte(trace.Magic)) {
+		return nil, fmt.Errorf("%w: unrecognized magic", ErrBadTrace)
+	}
+	r := bytes.NewReader(data[len(trace.Magic):])
+	var refs []trace.Ref
+	var prev uint64
+	for {
+		delta, err := binary.ReadVarint(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrBadTrace, len(refs), err)
+		}
+		instrs, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %d: %v", ErrBadTrace, len(refs), err)
+		}
+		prev += uint64(delta)
+		refs = append(refs, trace.Ref{VA: addr.VA(prev), Instrs: instrs})
+	}
+	if err := trace.CheckReplayable(refs); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	}
+	seg := refEncodeRefs(refs)
+	if _, err := Stat(seg); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	}
+	return seg, nil
+}
+
+// refEncodeRefs is the reference segment encoder: each block's payload
+// built on its own (rawPayload), then framed, then the header put in
+// front of the whole body.
+func refEncodeRefs(refs []trace.Ref) []byte {
+	var body []byte
+	var instrs uint64
+	blocks := 0
+	for start := 0; start < len(refs); start += blockRefs {
+		blk := refs[start:min(start+blockRefs, len(refs))]
+		payload := rawPayload(blk)
+		body = binary.AppendUvarint(body, uint64(len(blk)))
+		body = binary.AppendUvarint(body, uint64(len(payload)))
+		body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(payload))
+		body = append(body, payload...)
+		for _, r := range blk {
+			instrs += r.Instrs
+		}
+		blocks++
+	}
+	out := []byte(segMagic)
+	out = binary.AppendUvarint(out, uint64(blocks))
+	out = binary.AppendUvarint(out, uint64(len(refs)))
+	out = binary.AppendUvarint(out, instrs)
+	return append(out, body...)
+}
+
 // recordRefs encodes refs in the XLTRACE1 format eeatsim -record writes.
 func recordRefs(f *testing.F, refs []trace.Ref) []byte {
 	var rec bytes.Buffer
@@ -221,49 +342,47 @@ func rawPayload(refs []trace.Ref) []byte {
 
 // refDecodeBlock is the reference block decoder: the payload format of
 // the package comment, decoded with binary.Varint and binary.Uvarint.
-func refDecodeBlock(refCount int, payload []byte) ([]trace.Ref, uint64, error) {
+func refDecodeBlock(refCount int, payload []byte) ([]trace.Ref, error) {
 	var refs []trace.Ref
-	var prev, total uint64
+	var prev uint64
 	off := 0
 	for i := 0; i < refCount; i++ {
 		delta, n := binary.Varint(payload[off:])
 		if n <= 0 {
-			return nil, 0, corrupt("bad VA delta in block (ref %d)", i)
+			return nil, corrupt("bad VA delta in block (ref %d)", i)
 		}
 		off += n
 		instrs, m := binary.Uvarint(payload[off:])
 		if m <= 0 {
-			return nil, 0, corrupt("bad instr count in block (ref %d)", i)
+			return nil, corrupt("bad instr count in block (ref %d)", i)
 		}
 		off += m
 		prev += uint64(delta)
-		total += instrs
 		refs = append(refs, trace.Ref{VA: addr.VA(prev), Instrs: instrs})
 	}
 	if off != len(payload) {
-		return nil, 0, corrupt("%d trailing bytes after block payload", len(payload)-off)
+		return nil, corrupt("%d trailing bytes after block payload", len(payload)-off)
 	}
-	return refs, total, nil
+	return refs, nil
 }
 
 // checkDecodeBlock runs decodeBlock and refDecodeBlock over the same
-// payloads and fails unless both accept with the same refs and total,
-// or both refuse with ErrSegmentCorrupt. The payloads are data itself
+// payloads and fails unless both accept with the same refs, or both
+// refuse with ErrSegmentCorrupt. The payloads are data itself
 // (the first byte picks a ref count of 1 to 64, the rest is the
 // payload) and, when data frames as a segment, each framed block.
 func checkDecodeBlock(t *testing.T, data []byte) {
 	t.Helper()
 	same := func(what string, refCount int, payload []byte) {
-		got, gotTotal, gotErr := decodeBlock(nil, refCount, payload)
-		want, wantTotal, wantErr := refDecodeBlock(refCount, payload)
+		got, gotErr := decodeBlock(nil, refCount, payload)
+		want, wantErr := refDecodeBlock(refCount, payload)
 		switch {
 		case gotErr != nil || wantErr != nil:
 			if !errors.Is(gotErr, ErrSegmentCorrupt) || !errors.Is(wantErr, ErrSegmentCorrupt) {
 				t.Fatalf("%s: decodeBlock says %v, reference says %v", what, gotErr, wantErr)
 			}
-		case gotTotal != wantTotal || !reflect.DeepEqual(got, want):
-			t.Fatalf("%s: decodeBlock gave %d refs (total %d), reference %d refs (total %d)",
-				what, len(got), gotTotal, len(want), wantTotal)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("%s: decodeBlock gave %d refs, reference %d refs", what, len(got), len(want))
 		}
 	}
 	if len(data) > 0 {
@@ -275,47 +394,6 @@ func checkDecodeBlock(t *testing.T, data []byte) {
 		var payload []byte
 		if nr, payload, off, err = blockAt(data, off); err == nil {
 			same("framed block", nr, payload)
-		}
-	}
-}
-
-// TestVarintAtMatchesBinary pins varintAt to binary.Uvarint for every
-// encoded length from 1 to 10 bytes, canonical and zero-padded, at
-// every distance from the end of the buffer up to 16 bytes, and for
-// every truncation of each.
-func TestVarintAtMatchesBinary(t *testing.T) {
-	var encs [][]byte
-	for l := 1; l <= 10; l++ {
-		lo := uint64(1) << (7 * (l - 1))
-		for _, v := range []uint64{lo, lo | lo>>1 | 1, lo<<7 - 1} {
-			if l == 1 {
-				v &= 0x7f
-			}
-			encs = append(encs, binary.AppendUvarint(nil, v))
-		}
-		// Zero-padded (non-canonical) form of 1: binary.Uvarint accepts it.
-		pad := append(bytes.Repeat([]byte{0x80}, l-1), 0)
-		pad[0] |= 1
-		encs = append(encs, pad)
-	}
-	encs = append(encs, append(bytes.Repeat([]byte{0xff}, 9), 0x02), bytes.Repeat([]byte{0x80}, 11))
-	for _, enc := range encs {
-		for tail := 0; tail <= 16; tail++ {
-			buf := append(append([]byte{0x55}, enc...), bytes.Repeat([]byte{0x81}, tail)...)
-			for end := 1; end <= len(buf); end++ {
-				p := buf[:end]
-				want, n := binary.Uvarint(p[1:])
-				got, next := varintAt(p, 1)
-				if n <= 0 {
-					if next != -1 {
-						t.Fatalf("% x: varintAt accepted (%d, %d), binary.Uvarint refused", p[1:], got, next)
-					}
-					continue
-				}
-				if got != want || next != 1+n {
-					t.Fatalf("% x: varintAt = (%d, %d), binary.Uvarint = (%d, %d)", p[1:], got, next, want, 1+n)
-				}
-			}
 		}
 	}
 }

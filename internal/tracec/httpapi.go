@@ -3,6 +3,7 @@ package tracec
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -160,7 +161,7 @@ func (a *API) ingest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := ContentKey(segment)
-	if err := a.store.Put(key, segment); err != nil {
+	if err := a.store.Put(key, Segment{data: segment, info: info}); err != nil {
 		writeError(w, http.StatusInternalServerError, "storing segment: %v", err)
 		return
 	}
@@ -215,52 +216,62 @@ func (a *API) serveSegment(w http.ResponseWriter, r *http.Request, key string) {
 // format (XLTRACE1 varint records — what `eeatsim -record` writes) and
 // an already-compiled XLSEGv1 segment. Validation is strict with typed
 // errors: malformed records wrap ErrBadTrace, damaged segments wrap
-// ErrSegmentCorrupt. Decoded records must pass trace.CheckReplayable,
-// the pacing rule xlate.ReplayTrace applies too: every reference
-// carries at least one instruction, or a replay could spin without
-// consuming budget.
+// ErrSegmentCorrupt. Records must pass trace.CheckReplayable's pacing
+// rule, which xlate.ReplayTrace applies too: the stream is non-empty
+// and every reference carries at least one instruction, or a replay
+// could spin without consuming budget. The returned bytes always pass
+// Stat: they are the input segment after Stat, or the encoder's own
+// output.
 func Ingest(data []byte) ([]byte, SegmentInfo, error) {
 	switch {
-	case len(data) >= len(segMagic) && bytes.Equal(data[:len(segMagic)], segMagic):
+	case bytes.HasPrefix(data, []byte(segMagic)):
 		info, err := Stat(data)
 		if err != nil {
 			return nil, SegmentInfo{}, err
 		}
 		return data, info, nil
-	case bytes.HasPrefix(data, []byte("XLTRACE1\n")):
-		refs, err := decodeExternal(data)
-		if err != nil {
-			return nil, SegmentInfo{}, err
-		}
-		seg, info, err := EncodeRefs(refs)
-		if err != nil {
-			return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: %v", ErrBadTrace, err)
-		}
-		return seg, info, nil
+	case bytes.HasPrefix(data, []byte(trace.Magic)):
+		return transcode(data[len(trace.Magic):])
 	default:
 		return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: unrecognized magic (want XLTRACE1 or XLSEGv1)", ErrBadTrace)
 	}
 }
 
-// decodeExternal strictly decodes an XLTRACE1 stream.
-func decodeExternal(data []byte) ([]trace.Ref, error) {
-	tr, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("tracec: %w: %v", ErrBadTrace, err)
-	}
-	var refs []trace.Ref
-	for {
-		r, err := tr.Next()
-		if err == io.EOF {
-			break
+// transcode re-encodes XLTRACE1 records into a segment in one pass,
+// never holding more than one block of decoded references. Each record
+// re-encodes canonically in at most its own length, except that a
+// block's first record carries its absolute VA (at most nine bytes
+// more), and each block gains its head; a record takes at least two
+// bytes. So the encoder's buffer is sized once, for the largest segment
+// body can make, and the segment's bytes are allocated once.
+func transcode(body []byte) ([]byte, SegmentInfo, error) {
+	maxBlocks := len(body)/2/blockRefs + 1
+	enc := newEncoder(segHeadMax + len(body) + maxBlocks*(blockHeadMax+binary.MaxVarintLen64-1))
+	d := trace.NewDecoder(body)
+	buf := make([]trace.Ref, 0, min(blockRefs, len(body)/2))
+	n := 0 // records so far
+	for d.Len() > 0 {
+		var err error
+		buf, err = d.Decode(buf[:0], blockRefs)
+		for i, r := range buf {
+			if r.Instrs == 0 {
+				return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: record %d carries zero instructions (pacing invariant: every reference advances the budget)", ErrBadTrace, n+i)
+			}
+			enc.Add(r)
 		}
+		n += len(buf)
 		if err != nil {
-			return nil, fmt.Errorf("tracec: %w: record %d: %v", ErrBadTrace, len(refs), err)
+			return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: record %d: %v", ErrBadTrace, n, err)
 		}
-		refs = append(refs, r)
 	}
-	if err := trace.CheckReplayable(refs); err != nil {
-		return nil, fmt.Errorf("tracec: %w: %v", ErrBadTrace, err)
+	seg, info, err := enc.Finish()
+	if err != nil { // no records at all
+		return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: empty trace", ErrBadTrace)
 	}
-	return refs, nil
+	// Every record carries an instruction, so a zero total means the
+	// sum wrapped; Stat refuses a header that claims no instructions.
+	if info.Instrs == 0 {
+		return nil, SegmentInfo{}, fmt.Errorf("tracec: %w: instruction total overflows 64 bits", ErrBadTrace)
+	}
+	return seg, info, nil
 }

@@ -128,7 +128,7 @@ func decodeAhead(out chan<- decoded, data []byte, bodyStart, off int, buf []trac
 	}
 	nr, payload, next, err := blockAt(data, off)
 	if err == nil {
-		buf, _, err = decodeBlock(buf[:0], nr, payload)
+		buf, err = decodeBlock(buf[:0], nr, payload)
 	}
 	d.refs, d.next, d.err = buf, next, err
 	out <- d

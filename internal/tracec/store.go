@@ -129,14 +129,15 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return data, nil
 }
 
-// Put stores a segment under key after validating it (the Stat gate —
-// a corrupt segment never enters the store). The write is atomic.
-func (s *Store) Put(key string, data []byte) error {
+// Put stores a validated segment under key, so a corrupt segment never
+// enters the store. The write is atomic.
+func (s *Store) Put(key string, seg Segment) error {
 	if !IsKey(key) {
 		return fmt.Errorf("tracec: malformed segment key %q", key)
 	}
-	if _, err := Stat(data); err != nil {
-		return err
+	data := seg.Bytes()
+	if data == nil {
+		return fmt.Errorf("tracec: storing %s: unvalidated zero Segment", key)
 	}
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {

@@ -30,6 +30,9 @@
 //	         the block; the first ref's delta is from 0, i.e. its
 //	         absolute VA), uvarint(instrs)
 //
+// A payload record is an XLTRACE1 record: both formats are written by
+// trace.AppendRecord and read by trace.Decoder.
+//
 // Blocks are self-contained (the VA delta chain restarts at each block)
 // so the decoder materializes one block at a time into a reused flat
 // buffer. Any damage — bad magic, torn varint, CRC mismatch, count or
@@ -40,11 +43,11 @@
 package tracec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 
 	"xlate/internal/addr"
 	"xlate/internal/trace"
@@ -56,12 +59,23 @@ import (
 // refuse the segment — there is no partial-decode path.
 var ErrSegmentCorrupt = errors.New("trace segment corrupt")
 
-var segMagic = []byte("XLSEGv1\n")
+const segMagic = "XLSEGv1\n"
 
 // blockRefs is the compile-time block granularity: 32 Ki references
 // (~100-200 KB encoded) keeps the replay working set L2-resident while
 // amortizing per-block framing to well under a bit per reference.
 const blockRefs = 1 << 15
+
+// blockHeadMax is the framing ahead of a block's payload at its
+// largest: a ref count of at most blockRefs and a payload of at most
+// blockRefs records of two 10-byte varints each take three uvarint
+// bytes apiece, then the 4-byte CRC. A full block's payload is at least
+// two bytes per record, so its head takes exactly this much.
+const blockHeadMax = 3 + 3 + 4
+
+// segHeadMax is the segment header at its largest: the magic and three
+// uvarint totals.
+const segHeadMax = len(segMagic) + 3*binary.MaxVarintLen64
 
 // SegmentInfo summarizes a validated segment.
 type SegmentInfo struct {
@@ -70,69 +84,86 @@ type SegmentInfo struct {
 	Instrs uint64
 }
 
-// Encoder builds a segment incrementally. Add references, then Finish.
+// Encoder builds a segment incrementally in one buffer. Add references,
+// then Finish. Room for the segment header and for each block's head
+// is reserved ahead of the records and filled in once the counts are
+// known, so each record is appended once, straight into place.
 type Encoder struct {
-	body    []byte
-	scratch [2 * binary.MaxVarintLen64]byte
-
-	cur       []byte // current block payload
-	curRefs   int
-	prevVA    uint64
-	blocks    int
-	refs      uint64
-	instrs    uint64
-	blockHead [2*binary.MaxVarintLen64 + 4]byte
+	out     []byte // header reserve, finished blocks, current block
+	block   int    // offset of the current block's head reserve
+	curRefs int
+	prevVA  addr.VA
+	blocks  int
+	refs    uint64
+	instrs  uint64
 }
 
 // NewEncoder returns an empty segment encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
+func NewEncoder() *Encoder { return newEncoder(0) }
+
+// newEncoder returns an empty encoder whose buffer holds size bytes
+// before it first grows.
+func newEncoder(size int) *Encoder {
+	e := &Encoder{out: make([]byte, segHeadMax, max(size, segHeadMax+blockHeadMax))}
+	e.openBlock()
+	return e
+}
+
+func (e *Encoder) openBlock() {
+	e.block = len(e.out)
+	e.out = append(e.out, make([]byte, blockHeadMax)...)
+}
 
 // Add appends one reference.
 func (e *Encoder) Add(r trace.Ref) {
-	delta := int64(uint64(r.VA) - e.prevVA) // wrapping delta
-	n := binary.PutVarint(e.scratch[:], delta)
-	n += binary.PutUvarint(e.scratch[n:], r.Instrs)
-	e.cur = append(e.cur, e.scratch[:n]...)
-	e.prevVA = uint64(r.VA)
-	e.curRefs++
-	e.refs++
+	e.out = trace.AppendRecord(e.out, e.prevVA, r)
+	e.prevVA = r.VA
 	e.instrs += r.Instrs
-	if e.curRefs == blockRefs {
+	if e.curRefs++; e.curRefs == blockRefs {
 		e.flushBlock()
+		e.openBlock()
 	}
 }
 
+// flushBlock writes the current block's head into its reserve. A head
+// shorter than the reserve (only a short final block's can be) slides
+// the payload down to meet it.
 func (e *Encoder) flushBlock() {
-	if e.curRefs == 0 {
-		return
+	payload := e.out[e.block+blockHeadMax:]
+	var head [blockHeadMax]byte
+	h := binary.AppendUvarint(head[:0], uint64(e.curRefs))
+	h = binary.AppendUvarint(h, uint64(len(payload)))
+	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(payload))
+	n := copy(e.out[e.block:], h)
+	if n < blockHeadMax {
+		e.out = e.out[:e.block+n+copy(e.out[e.block+n:], payload)]
 	}
-	n := binary.PutUvarint(e.blockHead[:], uint64(e.curRefs))
-	n += binary.PutUvarint(e.blockHead[n:], uint64(len(e.cur)))
-	binary.LittleEndian.PutUint32(e.blockHead[n:], crc32.ChecksumIEEE(e.cur))
-	e.body = append(e.body, e.blockHead[:n+4]...)
-	e.body = append(e.body, e.cur...)
-	e.cur = e.cur[:0]
+	e.blocks++
+	e.refs += uint64(e.curRefs)
 	e.curRefs = 0
 	e.prevVA = 0 // the delta chain restarts per block
-	e.blocks++
 }
 
 // Finish flushes the trailing block and returns the complete segment.
-// At least one reference must have been added.
+// At least one reference must have been added. The encoder must not be
+// used afterwards: the segment shares its buffer.
 func (e *Encoder) Finish() ([]byte, SegmentInfo, error) {
-	e.flushBlock()
+	if e.curRefs > 0 {
+		e.flushBlock()
+	} else {
+		e.out = e.out[:e.block] // drop the unused reserve
+	}
 	if e.blocks == 0 {
 		return nil, SegmentInfo{}, fmt.Errorf("tracec: empty segment")
 	}
-	var head [3 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(head[:], uint64(e.blocks))
-	n += binary.PutUvarint(head[n:], e.refs)
-	n += binary.PutUvarint(head[n:], e.instrs)
-	out := make([]byte, 0, len(segMagic)+n+len(e.body))
-	out = append(out, segMagic...)
-	out = append(out, head[:n]...)
-	out = append(out, e.body...)
-	return out, SegmentInfo{Blocks: e.blocks, Refs: e.refs, Instrs: e.instrs}, nil
+	var head [segHeadMax]byte
+	h := append(head[:0], segMagic...)
+	h = binary.AppendUvarint(h, uint64(e.blocks))
+	h = binary.AppendUvarint(h, e.refs)
+	h = binary.AppendUvarint(h, e.instrs)
+	start := segHeadMax - len(h)
+	copy(e.out[start:], h)
+	return e.out[start:], SegmentInfo{Blocks: e.blocks, Refs: e.refs, Instrs: e.instrs}, nil
 }
 
 // EncodeRefs builds a segment from a complete reference slice.
@@ -161,7 +192,7 @@ func uvarint(data []byte, off int, what string) (uint64, int, error) {
 // header validates the magic and fixed header, returning the info and
 // the offset of the first block.
 func header(data []byte) (SegmentInfo, int, error) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
+	if !bytes.HasPrefix(data, []byte(segMagic)) {
 		return SegmentInfo{}, 0, corrupt("bad magic")
 	}
 	off := len(segMagic)
@@ -220,78 +251,24 @@ func blockAt(data []byte, off int) (refCount int, payload []byte, next int, err 
 	return int(nr), payload, off + 4 + int(plen), nil
 }
 
-// decodeBlock appends a validated block's references to dst and
-// returns the block's instruction total. The VA delta chain restarts
-// at zero. The payload has already passed the CRC, so any leftover or
-// missing bytes are encoder-level corruption. This loop is the replay
-// hot path, so the varint decode is hand-inlined in varintAt rather
-// than calling binary.Uvarint; it accepts and refuses exactly what
-// binary.Varint and binary.Uvarint do (the differential fuzz target
-// checks this).
-func decodeBlock(dst []trace.Ref, refCount int, payload []byte) ([]trace.Ref, uint64, error) {
-	var prev, instrTotal uint64
-	off := 0
-	for i := 0; i < refCount; i++ {
-		ux, n := varintAt(payload, off)
-		if n < 0 {
-			return dst, 0, corrupt("bad VA delta in block (ref %d)", i)
-		}
-		prev += uint64(int64(ux>>1) ^ -int64(ux&1)) // zigzag decode
-		instrs, m := varintAt(payload, n)
-		if m < 0 {
-			return dst, 0, corrupt("bad instr count in block (ref %d)", i)
-		}
-		off = m
-		instrTotal += instrs
-		dst = append(dst, trace.Ref{VA: addr.VA(prev), Instrs: instrs})
+// decodeBlock appends a framed block's references to dst. The VA delta
+// chain restarts at zero. The payload has already passed the CRC, so
+// any leftover or missing bytes are encoder-level corruption. This is
+// the replay hot path: trace.Decoder runs the records, the same codec
+// that reads XLTRACE1 streams.
+func decodeBlock(dst []trace.Ref, refCount int, payload []byte) ([]trace.Ref, error) {
+	d := trace.NewDecoder(payload)
+	base := len(dst)
+	dst, err := d.Decode(dst, refCount)
+	switch {
+	case err != nil:
+		return dst, corrupt("ref %d of block: %v", len(dst)-base, err)
+	case len(dst)-base < refCount:
+		return dst, corrupt("block payload ends after %d of %d refs", len(dst)-base, refCount)
+	case d.Len() != 0:
+		return dst, corrupt("%d trailing bytes after block payload", d.Len())
 	}
-	if off != len(payload) {
-		return dst, 0, corrupt("%d trailing bytes after block payload", len(payload)-off)
-	}
-	return dst, instrTotal, nil
-}
-
-// varintAt decodes the unsigned varint at p[off:] and returns it with
-// the offset just past it, or offset -1 when the encoding is truncated
-// or overflows 64 bits (binary.Uvarint's n <= 0).
-//
-// A one-byte varint returns at once. Otherwise, when eight bytes are
-// left, it reads them as one little-endian word: a varint of up to
-// eight bytes ends at the word's first byte with the high bit clear,
-// and its seven-bit groups are packed together in three mask-and-shift
-// steps. Such a varint carries at most 56 bits and cannot overflow.
-// Longer varints and the last bytes of a payload take the byte loop.
-func varintAt(p []byte, off int) (uint64, int) {
-	if off < len(p) && p[off] < 0x80 {
-		return uint64(p[off]), off + 1
-	}
-	if off+8 <= len(p) {
-		w := binary.LittleEndian.Uint64(p[off:])
-		if stop := ^w & 0x8080808080808080; stop != 0 {
-			end := bits.TrailingZeros64(stop) + 1 // bits up to and including the last byte
-			w &= (uint64(1)<<end - 1) & 0x7f7f7f7f7f7f7f7f
-			w = (w&0x7f007f007f007f00)>>1 | w&0x007f007f007f007f
-			w = (w&0x3fff00003fff0000)>>2 | w&0x00003fff00003fff
-			w = (w&0x0fffffff00000000)>>4 | w&0x000000000fffffff
-			return w, off + end/8
-		}
-	}
-	var x uint64
-	for s := uint(0); off < len(p); s += 7 {
-		b := p[off]
-		off++
-		if b < 0x80 {
-			if s == 63 && b > 1 {
-				return 0, -1
-			}
-			return x | uint64(b)<<s, off
-		}
-		if s == 63 {
-			return 0, -1
-		}
-		x |= uint64(b&0x7f) << s
-	}
-	return 0, -1
+	return dst, nil
 }
 
 // Stat fully validates a segment — header, every block's framing and
@@ -310,12 +287,12 @@ func Stat(data []byte) (SegmentInfo, error) {
 		if err != nil {
 			return SegmentInfo{}, err
 		}
-		var blockInstrs uint64
-		buf, blockInstrs, err = decodeBlock(buf[:0], nr, payload)
-		if err != nil {
+		if buf, err = decodeBlock(buf[:0], nr, payload); err != nil {
 			return SegmentInfo{}, err
 		}
-		instrs += blockInstrs
+		for _, r := range buf {
+			instrs += r.Instrs
+		}
 		refs += uint64(nr)
 		off = next
 	}
@@ -343,7 +320,7 @@ func DecodeAll(data []byte) ([]trace.Ref, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, _, err = decodeBlock(out, nr, payload)
+		out, err = decodeBlock(out, nr, payload)
 		if err != nil {
 			return nil, err
 		}

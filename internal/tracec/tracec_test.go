@@ -50,6 +50,16 @@ func mustSegment(t *testing.T, refs []trace.Ref) ([]byte, SegmentInfo) {
 	return seg, info
 }
 
+// mustValidate wraps segment bytes as a Segment for Store.Put.
+func mustValidate(t *testing.T, data []byte) Segment {
+	t.Helper()
+	seg, err := Validate(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
 func TestRoundTrip(t *testing.T) {
 	// Three sizes: sub-block, exactly one block, and multi-block with a
 	// partial trailing block.
@@ -147,7 +157,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		seg, _ := mustSegment(t, synthRefs(50, int64(i)))
 		key := ContentKey(seg)
-		if err := s.Put(key, seg); err != nil {
+		if err := s.Put(key, mustValidate(t, seg)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
@@ -174,13 +184,17 @@ func TestStorePutRefusesCorruptAndMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg, _ := mustSegment(t, synthRefs(10, 1))
-	if err := s.Put("not-a-key", seg); err == nil {
+	if err := s.Put("not-a-key", mustValidate(t, seg)); err == nil {
 		t.Fatal("Put with a malformed key should fail")
 	}
+	// Put takes only a Segment, and corrupt bytes never become one.
 	mut := bytes.Clone(seg)
 	mut[len(mut)-1] ^= 1
-	if err := s.Put(ContentKey(mut), mut); !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("Put(corrupt) = %v, want ErrSegmentCorrupt", err)
+	if _, err := Validate(mut); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("Validate(corrupt) = %v, want ErrSegmentCorrupt", err)
+	}
+	if err := s.Put(ContentKey(mut), Segment{}); err == nil {
+		t.Fatal("Put of the zero Segment should fail")
 	}
 	if n, _ := s.Stats(); n != 0 {
 		t.Fatalf("refused Puts left %d entries in the store", n)
@@ -195,7 +209,7 @@ func TestStoreAdoptOnReopen(t *testing.T) {
 	}
 	seg, _ := mustSegment(t, synthRefs(200, 9))
 	key := ContentKey(seg)
-	if err := s.Put(key, seg); err != nil {
+	if err := s.Put(key, mustValidate(t, seg)); err != nil {
 		t.Fatal(err)
 	}
 	// Junk that adopt must skip without failing.
@@ -292,6 +306,37 @@ func TestIngest(t *testing.T) {
 	}
 	if _, _, err := Ingest(idle); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("instruction-free segment: err = %v, want ErrSegmentCorrupt", err)
+	}
+}
+
+// TestIngestMemoryBounded pins the one-pass transcoder's memory: a
+// dense 8 MiB upload of 4 Mi two-byte records must allocate at most 4x
+// its size in all. Decoding it to a []trace.Ref first costs 16 bytes
+// per record before any segment byte is written.
+func TestIngestMemoryBounded(t *testing.T) {
+	const records = 4 << 20
+	data := make([]byte, 0, len(trace.Magic)+2*records)
+	data = append(data, trace.Magic...)
+	for i := 0; i < records; i++ {
+		// A VA delta in [-30, 29] and an instruction count in [1, 100].
+		data = append(data, byte(i%60), byte(1+i%100))
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seg, info, err := Ingest(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Refs != records || info.Blocks != records/blockRefs {
+		t.Fatalf("ingested %d refs in %d blocks, want %d in %d", info.Refs, info.Blocks, records, records/blockRefs)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte upload → %d-byte segment; %d bytes allocated (%.2fx the input)",
+		len(data), len(seg), alloc, float64(alloc)/float64(len(data)))
+	if alloc > 4*uint64(len(data)) {
+		t.Fatalf("ingest allocated %d bytes for a %d-byte upload, above the 4x bound", alloc, len(data))
 	}
 }
 
@@ -623,7 +668,7 @@ func TestExecutorIngestedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := local.Put(key, seg); err != nil {
+	if err := local.Put(key, mustValidate(t, seg)); err != nil {
 		t.Fatal(err)
 	}
 	job := func() exper.Job {
@@ -700,7 +745,7 @@ func TestExecutorIngestedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweepKey := ContentKey(sweepSeg)
-	if err := local.Put(sweepKey, sweepSeg); err != nil {
+	if err := local.Put(sweepKey, mustValidate(t, sweepSeg)); err != nil {
 		t.Fatal(err)
 	}
 	rmmJob := job()
@@ -880,10 +925,10 @@ func TestExecutorSegmentLoadsOnce(t *testing.T) {
 	data, info := mustSegment(t, synthRefs(100, 2))
 	var e Executor
 	var loads atomic.Int32
-	load := func() ([]byte, error) {
+	load := func() (Segment, error) {
 		loads.Add(1)
 		time.Sleep(20 * time.Millisecond) // keep the load in flight while the others arrive
-		return data, nil
+		return Validate(data)
 	}
 	const callers = 8
 	start := make(chan struct{})
@@ -915,7 +960,7 @@ func TestExecutorSegmentLoadsOnce(t *testing.T) {
 	loads.Store(0)
 	var waiter sync.WaitGroup
 	var waitErr error
-	_, err := e2.segment(context.Background(), "key", func() ([]byte, error) {
+	_, err := e2.segment(context.Background(), "key", func() (Segment, error) {
 		if loads.Add(1) == 1 {
 			waiter.Add(1)
 			go func() {
@@ -923,9 +968,9 @@ func TestExecutorSegmentLoadsOnce(t *testing.T) {
 				_, waitErr = e2.segment(context.Background(), "key", load)
 			}()
 			time.Sleep(20 * time.Millisecond)
-			return nil, context.Canceled
+			return Segment{}, context.Canceled
 		}
-		return data, nil
+		return Validate(data)
 	})
 	waiter.Wait()
 	if !errors.Is(err, context.Canceled) || waitErr != nil {
