@@ -30,7 +30,7 @@ SERVICE_JOB = {"experiment":"fig2","instrs":400000,"scale":0.1,"seed":7}
 CLUSTER_FLAGS = -exp fig2 -instrs 400000 -scale 0.1 -seed 7
 CLUSTER_GOLDEN = testdata/cluster/fig2.golden
 
-.PHONY: check build vet lint test race bench loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke
+.PHONY: check build vet lint test race bench loadtest audit fuzz telemetry profile serve service cluster soak trace-smoke loc
 
 check: build vet lint test race
 
@@ -226,24 +226,16 @@ soak:
 	rm -f eeatd-bin soak.journal soak-report.out soak-metrics.prom
 	@echo "soak: coordinator killed and resumed; reports byte-identical, no cell executed twice"
 
-# Trace smoke (DESIGN.md §15): two proofs for the workload compiler.
-# (1) Compile-once-replay-many is invisible: the reduced fig2 suite run
-# entirely from compiled segments renders the committed cluster golden
-# byte for byte. (2) External ingestion is first-class: record an mcf
-# reference trace, replay it through `eeatsim -replay` (the CLI's
-# recorded-trace path), ship it gzip-compressed into a 2-worker dev
-# cluster's POST /v1/traces endpoint, and run the registered
-# trace:<key> workload through cluster dispatch — workers pull the
-# segment from the coordinator by content hash — with the report
-# diffed against its committed golden.
+# Trace smoke (DESIGN.md §15): external ingestion is first-class.
+# Record an mcf reference trace, replay it through `eeatsim -replay`
+# (the CLI's recorded-trace path), ship it gzip-compressed into a
+# 2-worker dev cluster's POST /v1/traces endpoint, and run the
+# registered trace:<key> workload through cluster dispatch — workers
+# pull the segment from the coordinator by content hash, once each —
+# with the report diffed against its committed golden.
 TRACE_GOLDEN = testdata/tracec/ingest.golden
 trace-smoke:
-	rm -rf trace-smoke-store trace-smoke-dev
-	$(GO) run ./cmd/experiments $(CLUSTER_FLAGS) -parallel 4 -checkpoint "" \
-		-compile-traces -trace-store trace-smoke-store \
-		| sed 's/^\(## .*\)  (.*s)$$/\1/' > trace-replay.out
-	diff $(CLUSTER_GOLDEN) trace-replay.out \
-		|| { echo "trace-smoke: compiled replay diverged from live synthesis" >&2; exit 1; }
+	rm -rf trace-smoke-dev
 	$(GO) build -o eeatsim-bin ./cmd/eeatsim
 	$(GO) build -o eeatd-bin ./cmd/eeatd
 	./eeatsim-bin -workload mcf -scale 0.1 -seed 7 \
@@ -257,9 +249,16 @@ trace-smoke:
 		|| { echo "trace-smoke: ingested-trace report diverged from its golden" >&2; exit 1; }
 	fetches=$$(grep -c 'fetched segment' trace-ingest.err); [ "$$fetches" -eq 2 ] \
 		|| { echo "trace-smoke: $$fetches segment fetches, want 2 (one per worker):" >&2; cat trace-ingest.err >&2; exit 1; }
-	rm -rf eeatsim-bin eeatd-bin trace-smoke-store trace-smoke-dev \
-		trace-smoke.xltrace trace-replay.out trace-ingest.out trace-ingest.err trace-eeatsim.out
-	@echo "trace-smoke: compiled replay byte-identical; recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster, fetched once per worker"
+	rm -rf eeatsim-bin eeatd-bin trace-smoke-dev \
+		trace-smoke.xltrace trace-ingest.out trace-ingest.err trace-eeatsim.out
+	@echo "trace-smoke: recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster, fetched once per worker"
+
+# Go line counts, non-test and test, excluding the benchmark's build
+# directory (.bench_build/) and fixture trees (testdata/).
+LOC_FIND = find . -name '*.go' -not -path './.bench_build/*' -not -path '*/testdata/*'
+loc:
+	@echo "non-test Go lines: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"
 
 # Profile a reduced-scale run and print the hottest ten functions.
 # cpu.prof is left behind for `go tool pprof -http` exploration.

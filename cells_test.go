@@ -13,9 +13,8 @@ import (
 )
 
 // TestCellShapesAgree pins that every way of running a cell computes the
-// same Result. A model cell runs through the zero tracec.Executor, an
-// Executor replaying the cell's compiled segment, exper.ExecuteJobContext
-// and xlate.RunParamsContext; a recorded trace
+// same Result. A model cell runs through the zero tracec.Executor,
+// exper.ExecuteJobContext and xlate.RunParamsContext; a recorded trace
 // runs through xlate.ReplayTrace and through the Executor's replay of the
 // same references ingested as a segment. Under every configuration the
 // Results must be reflect.DeepEqual, so none of the entry points can
@@ -51,7 +50,6 @@ func TestCellShapesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingested := &tracec.Executor{Store: store}
-	compiled := &tracec.Executor{Store: store, CompileModels: true}
 	ctx := context.Background()
 
 	for _, kind := range xlate.AllConfigs() {
@@ -69,19 +67,12 @@ func TestCellShapesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaCompiled, err := compiled.ExecuteJob(ctx, job)
-			if err != nil {
-				t.Fatal(err)
-			}
 			viaFacade, err := xlate.RunParamsContext(ctx, w, p, instrs, xlate.RunOptions{Seed: seed, Scale: scale})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(viaExecutor, viaExper) {
 				t.Errorf("Executor.ExecuteJob != exper.ExecuteJobContext:\n%+v\n%+v", viaExecutor, viaExper)
-			}
-			if !reflect.DeepEqual(viaExecutor, viaCompiled) {
-				t.Errorf("live Executor != compiled-segment Executor:\n%+v\n%+v", viaExecutor, viaCompiled)
 			}
 			if !reflect.DeepEqual(viaExecutor, viaFacade) {
 				t.Errorf("Executor.ExecuteJob != xlate.RunParamsContext:\n%+v\n%+v", viaExecutor, viaFacade)

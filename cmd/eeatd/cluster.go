@@ -42,8 +42,8 @@ type clusterOpts struct {
 	golden     string
 	fanout     int
 	minWorkers int
-	sim        *obsflags.Sim // -trace-store enables the trace subsystem
-	ingest     string        // dev mode: trace file to ingest and run
+	traceStore string // -trace-store: enables the trace subsystem
+	ingest     string // dev mode: trace file to ingest and run
 	logf       func(string, ...any)
 	obs        *obsflags.Flags
 }
@@ -57,6 +57,15 @@ type clusterOpts struct {
 // -status-addr server's /status.
 func (o clusterOpts) startObs(status func() any) (*obsflags.Session, error) {
 	return o.obs.Start(status, o.logf)
+}
+
+// openTraceStore opens the -trace-store directory, or returns nil when
+// none was given (no trace subsystem).
+func openTraceStore(dir string) (*tracec.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	return tracec.OpenStore(dir, 0, 0)
 }
 
 func selectExperiments(spec string) ([]exper.Experiment, error) {
@@ -100,14 +109,8 @@ func runDevCluster(o clusterOpts) int {
 			return 2
 		}
 	}
-	if o.ingest != "" && o.sim.TraceStore == "" {
+	if o.ingest != "" && o.traceStore == "" {
 		o.logf("-ingest needs -trace-store")
-		return 2
-	}
-	if o.sim.CompileTraces {
-		// The in-process workers run model cells live; accepting the
-		// flag would silently do nothing.
-		o.logf("-compile-traces is not supported with -cluster (its workers synthesize model cells live)")
 		return 2
 	}
 	if o.exp == "" && o.ingest == "" {
@@ -145,7 +148,7 @@ func runDevCluster(o clusterOpts) int {
 		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
 		Journal:          o.journal,
 		Chaos:            dirs,
-		TraceDir:         o.sim.TraceStore,
+		TraceDir:         o.traceStore,
 		Registry:         sess.Registry,
 		Tracer:           sess.Tracer,
 		Logf:             o.logf,
@@ -265,7 +268,7 @@ func runCoordinator(o clusterOpts) int {
 		return 2
 	}
 	defer sess.Close() //nolint:errcheck // exit path; close errors already logged
-	traces, err := o.sim.Executor(o.logf)
+	store, err := openTraceStore(o.traceStore)
 	if err != nil {
 		o.logf("%v", err)
 		return 2
@@ -276,7 +279,7 @@ func runCoordinator(o clusterOpts) int {
 		Retry:            client.Backoff{Seed: o.seed},
 		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
 		Journal:          o.journal,
-		Traces:           traces,
+		Traces:           &tracec.Executor{Store: store, Logf: o.logf},
 		Registry:         sess.Registry,
 		Tracer:           sess.Tracer,
 		Logf:             o.logf,

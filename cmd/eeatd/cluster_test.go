@@ -14,18 +14,16 @@ func TestDevClusterRefusesUnsupportedFlags(t *testing.T) {
 	cases := []struct {
 		name   string
 		ingest string
-		sim    obsflags.Sim
 		want   string
 	}{
-		{"ingest without store", "run.xltrace", obsflags.Sim{}, "-ingest needs -trace-store"},
-		{"compile-traces", "", obsflags.Sim{CompileTraces: true, TraceStore: t.TempDir()}, "-compile-traces is not supported with -cluster"},
+		{"ingest without store", "run.xltrace", "-ingest needs -trace-store"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var log strings.Builder
 			o := clusterOpts{
 				n: 2, exp: "fig2", instrs: 400_000, scale: 0.1, seed: 7,
-				sim: &tc.sim, ingest: tc.ingest, obs: &obsflags.Flags{},
+				ingest: tc.ingest, obs: &obsflags.Flags{},
 				logf: func(f string, args ...any) { fmt.Fprintf(&log, f+"\n", args...) },
 			}
 			if code := runDevCluster(o); code != 2 {

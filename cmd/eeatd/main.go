@@ -95,10 +95,10 @@ func run() int {
 		golden    = flag.String("golden", "", "soak: report file every suite must match byte-for-byte (default: suites compared to each other)")
 		loadOut   = flag.String("load-out", "", "cluster dev mode: write the measured load report (throughput, p50/p95/p99 latency) as JSON to this file")
 
-		traceUp = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
-		ingest  = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
+		traceStore = flag.String("trace-store", "", "segment store directory: enables POST /v1/traces ingestion and trace:<key> workloads (DESIGN.md §15)")
+		traceUp    = flag.String("trace-upstream", "", "fetch missing trace segments from this base URL (default: the -worker coordinator)")
+		ingest     = flag.String("ingest", "", "cluster dev mode: ingest this trace file over HTTP into the coordinator and run it as an experiment")
 	)
-	sim := obsflags.RegisterSim(true)
 	obs := obsflags.Register()
 	flag.Parse()
 
@@ -127,7 +127,7 @@ func run() int {
 			hbTimeout: *hbTimeout, hbEvery: *hbEvery,
 			journal: *journal, soak: *soakN, golden: *golden,
 			fanout: fanout, minWorkers: *minWk, logf: logf,
-			sim: sim, ingest: *ingest,
+			traceStore: *traceStore, ingest: *ingest,
 			obs: obs,
 		}
 		if *clusterN > 0 {
@@ -169,13 +169,11 @@ func run() int {
 		Registry:     sess.Registry,
 		Logf:         logf,
 	}
-	ex, err := sim.Executor(logf)
-	if err != nil {
+	if scfg.TraceStore, err = openTraceStore(*traceStore); err != nil {
 		logf("%v", err)
 		sess.Close() //nolint:errcheck // exiting on the earlier error
 		return 2
 	}
-	scfg.TraceStore, scfg.CompileTraces = ex.Store, ex.CompileModels
 	// A worker daemon fetches dispatched trace-backed cells' segments
 	// from its coordinator unless told otherwise.
 	scfg.TraceUpstream = *traceUp

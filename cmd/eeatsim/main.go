@@ -62,7 +62,7 @@ func run(ctx context.Context, out *os.File) error {
 		nrecord  = flag.Int("record-refs", 1_000_000, "references to record with -record")
 		remote   = flag.String("remote", "", "offload the simulation to an eeatd daemon at this base URL (e.g. http://localhost:8080)")
 	)
-	sim := obsflags.RegisterSim(false)
+	sim := obsflags.RegisterSim()
 	obs := obsflags.Register()
 	flag.Parse()
 
@@ -107,8 +107,8 @@ func run(ctx context.Context, out *os.File) error {
 	// server-side, so repeated invocations hit the daemon's
 	// content-addressed cache instead of re-simulating.
 	if *remote != "" {
-		if *record != "" || *replay != "" || sim.Audit || sim.Inject != "" || sim.CompileTraces || sim.TraceStore != "" {
-			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject/-compile-traces/-trace-store: %w", obsflags.ErrUsage)
+		if *record != "" || *replay != "" || sim.Audit || sim.Inject != "" {
+			return fmt.Errorf("-remote cannot be combined with -record/-replay/-audit/-inject: %w", obsflags.ErrUsage)
 		}
 		c := client.New(*remote)
 		cr, _, err := c.RunCell(ctx, service.SubmitRequest{
@@ -125,15 +125,6 @@ func run(ctx context.Context, out *os.File) error {
 		source := fmt.Sprintf("%s via %s (cell %.12s…)", w.Name, *remote, cr.Key)
 		printResult(out, cr.Result, source, false)
 		return nil
-	}
-
-	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "eeatsim: "+f+"\n", args...) }
-	if sim.CompileTraces && *replay != "" {
-		return fmt.Errorf("-compile-traces cannot be combined with -replay: %w", obsflags.ErrUsage)
-	}
-	ex, err := sim.Executor(logf)
-	if err != nil {
-		return err
 	}
 
 	if *record != "" {
@@ -156,6 +147,7 @@ func run(ctx context.Context, out *os.File) error {
 		return nil
 	}
 
+	logf := func(f string, args ...any) { fmt.Fprintf(os.Stderr, "eeatsim: "+f+"\n", args...) }
 	sess, err := obs.Start(nil, logf)
 	if err != nil {
 		return fmt.Errorf("%v: %w", err, obsflags.ErrUsage)
@@ -194,7 +186,7 @@ func run(ctx context.Context, out *os.File) error {
 		if *seed == 0 {
 			*seed = 42 // the library's default seed
 		}
-		res, err = ex.ExecuteJob(ctx, exper.Job{
+		res, err = exper.ExecuteJobContext(ctx, exper.Job{
 			Spec: w, Params: p, Policy: core.PolicyFor(kind, 0.5),
 			Instrs: *instrs, Scale: *scale, Seed: *seed,
 		})

@@ -66,24 +66,11 @@ func TestReportShowsScaledFootprint(t *testing.T) {
 }
 
 func TestRemoteRejectsLocalOnlyFlags(t *testing.T) {
-	for _, flags := range [][]string{{"-compile-traces"}, {"-trace-store", t.TempDir()}} {
+	for _, flags := range [][]string{{"-audit"}, {"-inject", "flip-pfn"}} {
 		// The guard runs before any request, so the address is never dialled.
 		args := append([]string{"-remote", "http://127.0.0.1:1"}, flags...)
 		if _, code := eeatsim(t, args...); code != 2 {
 			t.Errorf("eeatsim %s: exit %d, want 2", strings.Join(args, " "), code)
-		}
-	}
-}
-
-// TestTraceFlagsNeedEachOther pins both halves of the trace-flag pairing:
-// -compile-traces without a store has nowhere to keep segments, and a
-// store without -compile-traces is read by no cell of eeatsim. Both are
-// usage errors, checked before anything is simulated.
-func TestTraceFlagsNeedEachOther(t *testing.T) {
-	for _, flags := range [][]string{{"-compile-traces"}, {"-trace-store", t.TempDir()}} {
-		args := append([]string{"-workload", "mcf", "-scale", "0.1", "-instrs", "1"}, flags...)
-		if out, code := eeatsim(t, args...); code != 2 {
-			t.Errorf("eeatsim %s: exit %d, want 2\n%s", strings.Join(args, " "), code, out)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func run() int {
 
 		progress = flag.Duration("progress", 0, "emit a progress line (cells done, ETA, aggregate MPKI) to stderr at this period, e.g. 10s (0 = off)")
 	)
-	sim := obsflags.RegisterSim(false)
+	sim := obsflags.RegisterSim()
 	obs := obsflags.Register()
 	flag.Parse()
 
@@ -123,12 +123,6 @@ func run() int {
 		}
 	}()
 
-	ex, err := sim.Executor(logf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		return 2
-	}
-
 	s := harness.New(harness.Config{
 		Workers:     *workers,
 		CellTimeout: *timeout,
@@ -142,7 +136,6 @@ func run() int {
 			Metrics: core.NewMetrics(sess.Registry),
 			Trace:   sess.Tracer,
 		},
-		Execute:       ex.ExecuteJob,
 		Logf:          logf,
 		Registry:      sess.Registry,
 		ProgressEvery: *progress,

@@ -139,34 +139,24 @@ func IDs() []string {
 	return out
 }
 
-// ExecuteJobContext builds and simulates one cell, honouring context
-// cancellation between simulation strides.
+// ExecuteJobContext builds and simulates one cell on the address space
+// its spec builds, honouring context cancellation between simulation
+// strides. The cell reads the shared stream of the Seat in ctx when it
+// can join it, else its own generator. Like RunDemand, a failed run
+// returns its error with the partial Result.
 func ExecuteJobContext(ctx context.Context, j Job) (core.Result, error) {
-	return RunModel(ctx, j, nil)
-}
-
-// RunModel simulates j on the address space its spec builds, driven by
-// src, or by the spec's own stream when src is nil: the shared stream
-// of the Seat in ctx when the cell can join it, else its own
-// generator. Like RunDemand, a failed run returns its error with the
-// partial Result.
-func RunModel(ctx context.Context, j Job, src trace.RefSource) (core.Result, error) {
 	seat := seatOf(ctx)
-	if src != nil {
-		seat.Release() // the cell reads its own source
-	}
 	as, regions, err := j.Spec.Map(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		seat.Release()
 		return core.Result{}, fmt.Errorf("exper: building %s: %w", j.Spec.Name, err)
 	}
-	if src == nil {
-		if r := seat.join(ctx, j, regions); r != nil {
-			defer r.leave()
-			src = r
-		} else {
-			src = j.Spec.Generator(regions, j.Seed, 0)
-		}
+	var src trace.RefSource
+	if r := seat.join(ctx, j, regions); r != nil {
+		defer r.leave()
+		src = r
+	} else {
+		src = j.Spec.Generator(regions, j.Seed, 0)
 	}
 	return simulate(ctx, j, as, src)
 }

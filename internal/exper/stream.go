@@ -14,10 +14,10 @@ import (
 // the same reference stream under different MMU configurations — read
 // one generator instead of synthesizing the stream once each. The
 // harness forms the groups (StreamKey), hands each member a Seat in the
-// context it passes to the executor, and RunModel joins the seat's
-// stream when it is called without a source. Sharing never changes a
-// stream: a cell that cannot read the shared stream from its first
-// reference runs on its own generator.
+// context it passes to the executor, and ExecuteJobContext joins the
+// seat's stream. Sharing never changes a stream: a cell that cannot
+// read the shared stream from its first reference runs on its own
+// generator.
 
 // Ring geometry: streamRingBlocks blocks of streamBlockRefs references
 // of 16 bytes, a 512 KiB ring per stream group.
@@ -61,7 +61,7 @@ func SharedStream(key string, n int) []*Seat {
 
 type seatKey struct{}
 
-// WithSeat returns ctx carrying seat, which RunModel joins.
+// WithSeat returns ctx carrying seat, which ExecuteJobContext joins.
 func WithSeat(ctx context.Context, seat *Seat) context.Context {
 	return context.WithValue(ctx, seatKey{}, seat)
 }

@@ -84,13 +84,13 @@ type Config struct {
 	// and the aggregate L1 MPKI of completed cells.
 	ProgressEvery time.Duration
 	// Execute is the per-cell executor (default
-	// exper.ExecuteJobContext, live synthesis). Binaries pass a
-	// tracec.Executor's ExecuteJob here to replay compiled or ingested
-	// segments; the cluster coordinator plugs in to dispatch cells to
-	// remote workers while keeping the harness's plan/memo/checkpoint/
-	// render pipeline — and therefore its byte-identical output
-	// guarantee — untouched. The function must be safe for concurrent
-	// calls and must honor ctx.
+	// exper.ExecuteJobContext, live synthesis). The service daemon
+	// passes a tracec.Executor's ExecuteJob here to also replay
+	// ingested segments; the cluster coordinator plugs in to dispatch
+	// cells to remote workers while keeping the harness's plan/memo/
+	// checkpoint/render pipeline — and therefore its byte-identical
+	// output guarantee — untouched. The function must be safe for
+	// concurrent calls and must honor ctx.
 	Execute func(ctx context.Context, j exper.Job) (core.Result, error)
 	// Preload seeds the memo with already-completed cells (canonical
 	// cell key → result) before planning, exactly as a resumed

@@ -3,10 +3,9 @@
 // observability block: event tracing (-trace-out/-trace-sample), the
 // live status endpoint (-status-addr), and the profiling hooks
 // (-cpuprofile/-memprofile/-pprof-addr). RegisterSim declares the
-// simulation block (-trace-store, -compile-traces, -audit,
-// -audit-sample, -inject), checks how its flags combine, and builds the
-// per-cell tracec.Executor. Every binary drives the same lifecycle, so
-// a run behaves the same whichever entry point it uses.
+// integrity block (-audit, -audit-sample, -inject) of the two
+// simulating binaries. Every binary drives the same lifecycle, so a run
+// behaves the same whichever entry point it uses.
 package obsflags
 
 import (

@@ -86,10 +86,6 @@ type Config struct {
 	TraceUpstream string
 	// MaxTraceBytes bounds one ingested segment (default 64 MiB → 413).
 	MaxTraceBytes int64
-	// CompileTraces additionally routes model cells through the workload
-	// compiler: compile-once into TraceStore, replay-many (the
-	// -compile-traces flag).
-	CompileTraces bool
 	// Logf receives daemon-level log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -184,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 		execStats: keyed.New[string, execRecord](maxFailures, 0, 0, nil),
 		queue:     make(chan *job, cfg.MaxQueue),
 	}
-	s.exec = &tracec.Executor{Store: cfg.TraceStore, CompileModels: cfg.CompileTraces, Logf: cfg.Logf}
+	s.exec = &tracec.Executor{Store: cfg.TraceStore, Logf: cfg.Logf}
 	if cfg.TraceStore != nil && cfg.TraceUpstream != "" {
 		s.exec.Fetch = tracec.HTTPFetcher(cfg.TraceUpstream, nil)
 	}

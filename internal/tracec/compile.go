@@ -18,8 +18,7 @@ const formatVersion = 1
 // the reference stream — policy, seed, scale, physical-memory override,
 // and the instruction budget. It deliberately excludes simulator
 // parameters (TLB geometry, energy tables): cells that sweep Params
-// under one OS policy share a single compiled trace, which is the
-// compile-once-replay-many win inside harness plans. The canonical
+// under one OS policy share a single compiled trace. The canonical
 // %+v encoding mirrors harness.JobKey's discipline.
 func Key(spec workloads.Spec, opt workloads.BuildOptions, instrs uint64) string {
 	canon := fmt.Sprintf("xlseg|v%d|spec=%+v|policy=%+v|seed=%d|scale=%g|phys=%d|instrs=%d",

@@ -10,56 +10,43 @@ import (
 	"xlate/internal/core"
 	"xlate/internal/exper"
 	"xlate/internal/keyed"
-	"xlate/internal/workloads"
 )
 
-// Executor is the one per-cell executor: the harness (Config.Execute),
-// the service daemon, and the cluster coordinator's local fallback all
-// run their cells through ExecuteJob. Every path ends in one of exper's
-// two run helpers; the cell shape only decides the reference source:
-//
-//   - Cells whose spec is trace-backed (Spec.TraceRef) replay an
-//     ingested segment from the Store on a demand-paged space
-//     (exper.RunDemand), fetching it by content hash from the upstream
-//     (coordinator) on a local miss. These cells need a Store —
-//     workloads.Spec.Build refuses them.
-//   - Model cells compile-once-replay-many when CompileModels is set:
-//     the first cell for a (spec, policy, seed, scale, budget) tuple
-//     compiles the segment (one load per key), every later cell —
-//     including Params sweeps over the same workload — replays it on
-//     the model-built space (exper.RunModel). Reports stay
-//     byte-identical to live synthesis (see CompileSpec).
-//   - Otherwise model cells synthesize live (exper.ExecuteJobContext).
+// Executor is the per-cell executor of the service daemon and the
+// cluster coordinator's local fallback. A cell whose spec is
+// trace-backed (Spec.TraceRef) replays an ingested segment from the
+// Store on a demand-paged space (exper.RunDemand), fetching it by
+// content hash from the upstream (coordinator) on a local miss; such
+// cells need a Store, as workloads.Spec.Build refuses them. Every other
+// cell synthesizes live (exper.ExecuteJobContext).
 //
 // The zero Executor therefore runs model cells live and refuses
 // trace-backed ones, so a holder never needs a nil check.
 type Executor struct {
-	// Store holds the segments (nil: no compiled or ingested cells).
+	// Store holds the ingested segments (nil: no trace-backed cells).
 	Store *Store
-	// CompileModels turns on compile-once-replay-many for model cells
-	// (the -compile-traces flag).
-	CompileModels bool
 	// Fetch, when non-nil, retrieves a missing ingested segment by
 	// content hash — cluster workers point this at the coordinator's
 	// /v1/traces/{key} (HTTPFetcher).
 	Fetch func(ctx context.Context, key string) ([]byte, error)
-	// Logf receives compile/fetch progress (nil = silent).
+	// Logf receives fetch progress (nil = silent).
 	Logf func(format string, args ...any)
 
-	// segs memoizes validated segments: the harness replays one
-	// segment across many cells (Params sweeps, retries, repeated
-	// specs), and the strict Stat gate plus the disk read should be
-	// paid once per segment, not once per cell. Past segCacheBytes the
-	// oldest segments go, which at worst re-reads and revalidates —
-	// never a correctness concern, a Segment is immutable. loads shares
-	// one load and validation among concurrent misses on one key.
+	// segs memoizes validated segments: one ingested segment replays
+	// across many cells (the configurations of a trace experiment,
+	// retries, repeated submissions), and the strict Stat gate plus the
+	// disk read or fetch should be paid once per segment, not once per
+	// cell. Past segCacheBytes the oldest segments go, which at worst
+	// re-reads and revalidates — never a correctness concern, a Segment
+	// is immutable. loads shares one load and validation among
+	// concurrent misses on one key.
 	segsOnce sync.Once
 	segs     *keyed.Cache[string, Segment]
 	loads    keyed.Group[string, Segment]
 }
 
 // segCacheBytes bounds the in-memory validated-segment memo by segment
-// size (256 MiB ≈ a few hundred compiled cells at experiment scale).
+// size.
 const segCacheBytes = 256 << 20
 
 // segment returns the validated segment under key, loading and
@@ -89,48 +76,14 @@ func (e *Executor) logf(format string, args ...any) {
 	}
 }
 
-// ExecuteJob executes one cell, replaying a segment where one applies.
-// It matches the harness Config.Execute signature and is safe for
-// concurrent calls.
+// ExecuteJob executes one cell, replaying its segment when the cell is
+// trace-backed. It matches the harness Config.Execute signature and is
+// safe for concurrent calls.
 func (e *Executor) ExecuteJob(ctx context.Context, j exper.Job) (core.Result, error) {
 	if j.Spec.TraceRef != "" {
 		return e.replayIngested(ctx, j)
 	}
-	if !e.CompileModels || e.Store == nil {
-		return exper.ExecuteJobContext(ctx, j)
-	}
-	return e.replayModel(ctx, j)
-}
-
-// replayModel is the compile-once-replay-many path: look up (or
-// compile and store) the spec's segment and replay it on the
-// model-built space. The segment flight makes concurrent cells for one
-// key share a single compile.
-func (e *Executor) replayModel(ctx context.Context, j exper.Job) (core.Result, error) {
-	bopt := workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}
-	key := Key(j.Spec, bopt, j.Instrs)
-	seg, err := e.segment(ctx, key, func() (Segment, error) {
-		if data, err := e.Store.Get(key); err == nil {
-			return Validate(data)
-		}
-		data, info, err := CompileSpec(j.Spec, bopt, j.Instrs)
-		if err != nil {
-			return Segment{}, err
-		}
-		seg, err := Validate(data)
-		if err != nil {
-			return Segment{}, err
-		}
-		e.logf("compiled %s → %s (%d refs, %d blocks, %d bytes)",
-			j.Spec.Name, key[:12], info.Refs, info.Blocks, len(data))
-		return seg, e.Store.Put(key, seg)
-	})
-	if err != nil {
-		return core.Result{}, fmt.Errorf("tracec: %s/%v: %w", j.Spec.Name, j.Params.Kind, err)
-	}
-	// The compiled stream is the exact prefix the generator would
-	// yield, so on the space the spec builds the Result is the live one.
-	return exper.RunModel(ctx, j, seg.Replay())
+	return exper.ExecuteJobContext(ctx, j)
 }
 
 // replayIngested runs a trace-backed cell: an externally ingested

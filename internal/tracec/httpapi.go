@@ -118,6 +118,10 @@ func (a *API) ingest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a trace stream here")
 		return
 	}
+	if r.ContentLength > a.maxBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "trace exceeds the %d-byte limit", a.maxBytes)
+		return
+	}
 	select {
 	case a.pending <- struct{}{}:
 		defer func() { <-a.pending }()
@@ -129,8 +133,11 @@ func (a *API) ingest(w http.ResponseWriter, r *http.Request) {
 
 	// Bound the raw body, then the decompressed stream: a gzip bomb hits
 	// the decompressed limit, an oversized plain body the raw one — both
-	// are 413, not OOM.
+	// are 413, not OOM. A plain body of known length is read into one
+	// buffer of that size plus the byte that shows EOF; the rest start
+	// small and grow.
 	body := io.Reader(http.MaxBytesReader(w, r.Body, a.maxBytes))
+	size := int64(512)
 	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
 		gz, err := gzip.NewReader(body)
 		if err != nil {
@@ -139,8 +146,10 @@ func (a *API) ingest(w http.ResponseWriter, r *http.Request) {
 		}
 		defer gz.Close()
 		body = gz
+	} else if r.ContentLength >= 0 {
+		size = r.ContentLength + 1
 	}
-	data, err := io.ReadAll(io.LimitReader(body, a.maxBytes+1))
+	data, err := readAll(io.LimitReader(body, a.maxBytes+1), size)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -180,6 +189,25 @@ func (a *API) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	b, _ := json.MarshalIndent(resp, "", "  ") //nolint:errcheck // plain struct
 	w.Write(append(b, '\n'))                   //nolint:errcheck // response write
+}
+
+// readAll is io.ReadAll starting from a buffer of size bytes, so a
+// stream that fits allocates once.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // serveSegment is GET /v1/traces/{key}. Segments are immutable by

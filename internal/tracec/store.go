@@ -16,14 +16,14 @@ import (
 var ErrNotFound = errors.New("trace segment not found")
 
 // Store is the on-disk, content-addressed segment store: one
-// `<key>.seg` file per compiled or ingested segment. Its index is a
+// `<key>.seg` file per segment. Its index is a
 // keyed.Cache (key → file size) bounded by entry count and total
 // bytes, the same LRU as the service result cache, whose eviction hook
 // deletes the file; entries live on disk so they survive process
 // restarts and can be served to cluster peers by content hash.
 // Segments are cache entries, not durable state: writes are atomic
 // (temp file + rename) but not fsynced, because a lost segment is
-// recompiled or re-fetched, never healed.
+// re-ingested or re-fetched, never healed.
 type Store struct {
 	dir   string
 	index *keyed.Cache[string, int64]
@@ -122,7 +122,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		// The file vanished under us (external cleanup); drop the index
-		// entry and report a miss so the caller recompiles or re-fetches.
+		// entry and report a miss so the caller re-fetches.
 		s.index.Remove(key)
 		return nil, fmt.Errorf("tracec: %w: %s", ErrNotFound, key)
 	}

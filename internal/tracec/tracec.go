@@ -1,19 +1,15 @@
-// Package tracec is the workload compiler: it lowers a workload model
-// (workloads.Spec) — or an externally ingested reference stream — into
-// compact, replayable trace *segments* and replays them into the
-// simulator at memcpy-like speed.
+// Package tracec holds trace *segments*: compact, replayable reference
+// streams, lowered from an externally ingested trace or, with
+// CompileSpec, from a workload model (workloads.Spec), and replayed
+// into the simulator block-at-a-time.
 //
-// The paper drives its simulator with 50-billion-instruction Pin traces;
-// our substitution (internal/trace + internal/workloads) synthesizes
-// every reference live on the hot path, paying Zipf/mix RNG work per
-// access. tracec removes that cost for every run after the first: a
-// compile step consumes the spec's deterministic generator exactly as a
-// live run would and freezes the references it produces into a segment,
-// which later runs decode block-at-a-time into flat []trace.Ref batches.
-// Because the compiled stream is bit-for-bit the stream a live run
-// consumes — and the address space is rebuilt under the identical
-// policy/seed/scale — a compiled-then-replayed cell renders reports
-// byte-identical to live synthesis (proven by TestReplayByteIdentity).
+// Ingested segments are what trace-backed cells (trace:<key>
+// workloads) read: the Executor replays them under demand paging.
+// Model cells always synthesize live. A model compiled with CompileSpec
+// freezes exactly the references a live run consumes, so replayed on
+// the address space its spec maps it yields the live Result (proven by
+// TestCompileSpecReplaysLive); the benchmark's replay workloads use
+// that to time the simulator without synthesis.
 //
 // Segments are stored content-addressed (SHA-256; see Key) in an
 // on-disk Store with LRU bounds, mirroring the service result-cache
@@ -39,7 +35,7 @@
 // total disagreement — is refused with a typed ErrSegmentCorrupt;
 // unlike the coordinator crash journal there is no heal path, because a
 // segment is a cache entry addressed by its content: a damaged one is
-// simply recompiled or re-fetched.
+// simply re-ingested or re-fetched.
 package tracec
 
 import (
@@ -332,8 +328,8 @@ func DecodeAll(data []byte) ([]trace.Ref, error) {
 // Segment is a validated trace segment: the only way to obtain one
 // from raw bytes is Validate (the full Stat gate), so holding a
 // Segment is proof the bytes decode cleanly. Replays constructed from
-// a Segment skip revalidation — the compile-once-replay-many loop pays
-// the strict gate once per segment, not once per cell.
+// a Segment skip revalidation — the Executor's memo pays the strict
+// gate once per segment, not once per cell.
 type Segment struct {
 	data []byte
 	info SegmentInfo

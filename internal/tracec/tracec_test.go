@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"xlate/internal/addr"
@@ -309,18 +310,24 @@ func TestIngest(t *testing.T) {
 	}
 }
 
+// denseTrace is an XLTRACE1 upload of records two-byte records: a VA
+// delta in [-30, 29] and an instruction count in [1, 100].
+func denseTrace(records int) []byte {
+	data := make([]byte, 0, len(trace.Magic)+2*records)
+	data = append(data, trace.Magic...)
+	for i := 0; i < records; i++ {
+		data = append(data, byte(i%60), byte(1+i%100))
+	}
+	return data
+}
+
 // TestIngestMemoryBounded pins the one-pass transcoder's memory: a
 // dense 8 MiB upload of 4 Mi two-byte records must allocate at most 4x
 // its size in all. Decoding it to a []trace.Ref first costs 16 bytes
 // per record before any segment byte is written.
 func TestIngestMemoryBounded(t *testing.T) {
 	const records = 4 << 20
-	data := make([]byte, 0, len(trace.Magic)+2*records)
-	data = append(data, trace.Magic...)
-	for i := 0; i < records; i++ {
-		// A VA delta in [-30, 29] and an instruction count in [1, 100].
-		data = append(data, byte(i%60), byte(1+i%100))
-	}
+	data := denseTrace(records)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -337,6 +344,33 @@ func TestIngestMemoryBounded(t *testing.T) {
 		len(data), len(seg), alloc, float64(alloc)/float64(len(data)))
 	if alloc > 4*uint64(len(data)) {
 		t.Fatalf("ingest allocated %d bytes for a %d-byte upload, above the 4x bound", alloc, len(data))
+	}
+}
+
+// TestIngestHTTPMemoryBounded pins the endpoint's memory on top of
+// Ingest's: a plain 8 MiB POST with a Content-Length is read into one
+// buffer, so the request allocates at most 3x the body in all.
+func TestIngestHTTPMemoryBounded(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := NewAPI(store, APIConfig{})
+	data := denseTrace(4 << 20)
+	req := httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(data))
+	rec := httptest.NewRecorder()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	api.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("POST: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte POST: %d bytes allocated (%.2fx the body)", len(data), alloc, float64(alloc)/float64(len(data)))
+	if alloc > 3*uint64(len(data)) {
+		t.Fatalf("POST allocated %d bytes for a %d-byte body, above the 3x bound", alloc, len(data))
 	}
 }
 
@@ -489,6 +523,21 @@ func TestAPIRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize POST: HTTP %d, want 413", resp.StatusCode)
 	}
+	// A Content-Length over the limit is refused before the body is
+	// read; a body longer than its Content-Length still hits the limit.
+	serve := func(claim int64, body io.Reader) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/traces", body)
+		req.ContentLength = claim
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := serve(513, iotest.ErrReader(errors.New("body read"))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("Content-Length over the limit: HTTP %d, want 413", code)
+	}
+	if code := serve(10, bytes.NewReader(externalTrace(t, synthRefs(5000, 1)))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body longer than its Content-Length: HTTP %d, want 413", code)
+	}
 	// A small gzip body that inflates past the limit → 413, not OOM.
 	resp, _ = postTrace(t, ts, externalTrace(t, synthRefs(5000, 2)), true)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -547,109 +596,57 @@ func TestHTTPFetcherVerifiesContentHash(t *testing.T) {
 	}
 }
 
-// TestExecutorModelReplayMatchesLive is the in-package byte-identity
-// check at Result granularity: a model cell run through the
-// compile-once-replay-many path must produce exactly the Result live
-// synthesis produces. (TestReplayByteIdentity proves the same at
-// rendered-report granularity over the whole fig2 suite.)
-func TestExecutorModelReplayMatchesLive(t *testing.T) {
-	spec, ok := workloads.ByName("swaptions")
-	if !ok {
-		t.Fatal("no swaptions workload")
-	}
-	store, err := OpenStore(t.TempDir(), 0, 0)
+// replayOnSpace runs j over src on the address space j's spec maps,
+// the shape perfbench's replay workloads use: Spec.Map, then
+// core.NewSimulator, then RunContext.
+func replayOnSpace(t *testing.T, j exper.Job, src trace.RefSource) core.Result {
+	t.Helper()
+	as, _, err := j.Spec.Map(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{Store: store, CompileModels: true}
-	for _, kind := range []core.ConfigKind{core.Cfg4KB, core.CfgRMMLite} {
-		j := exper.Job{
-			Spec:   spec,
-			Params: core.DefaultParams(kind),
-			Policy: core.PolicyFor(kind, 0.5),
-			Instrs: 200_000,
-			Scale:  0.25,
-			Seed:   7,
-		}
-		live, err := exper.ExecuteJobContext(context.Background(), j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed, err := ex.ExecuteJob(context.Background(), j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(live, replayed) {
-			t.Fatalf("%v: replayed Result differs from live synthesis", kind)
-		}
-		// Second run must hit the cached segment and still agree.
-		again, err := ex.ExecuteJob(context.Background(), j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(live, again) {
-			t.Fatalf("%v: cached replay differs from live synthesis", kind)
-		}
+	sim, err := core.NewSimulator(j.Params, as)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n, _ := store.Stats(); n != 2 {
-		t.Fatalf("store holds %d segments, want 2 (one per policy)", n)
+	res, err := sim.RunContext(context.Background(), src, j.Instrs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
-// TestExecutorCompilesOncePerKey sends concurrent cells that share one
-// compiled segment at a compiling executor: exactly one of them
-// compiles, every one gets the same Result, the segment lands in the
-// store, and a second executor on that store replays it without
-// compiling again.
-func TestExecutorCompilesOncePerKey(t *testing.T) {
-	spec, ok := workloads.ByName("swaptions")
-	if !ok {
-		t.Fatal("no swaptions workload")
-	}
-	store, err := OpenStore(t.TempDir(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compiles atomic.Int32
-	countCompiles := func(format string, _ ...any) {
-		if strings.HasPrefix(format, "compiled ") {
-			compiles.Add(1)
+// TestCompileSpecReplaysLive is CompileSpec's guarantee: under every
+// configuration, a compiled segment replayed on the space its spec maps
+// yields exactly the Result of the live cell (exper.ExecuteJobContext),
+// so a replay measures the simulator on the very stream a live run
+// reads.
+func TestCompileSpecReplaysLive(t *testing.T) {
+	kinds := append(core.AllConfigs(), core.ExtendedConfigs()...)
+	for _, name := range []string{"mcf", "swaptions"} {
+		spec, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("no %s workload", name)
 		}
-	}
-	j := exper.Job{Spec: spec, Params: core.DefaultParams(core.CfgTLBLite),
-		Policy: core.PolicyFor(core.CfgTLBLite, 0.5), Instrs: 100_000, Scale: 0.25, Seed: 7}
-	ex := &Executor{Store: store, CompileModels: true, Logf: countCompiles}
-	const callers = 4
-	results := make([]core.Result, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = ex.ExecuteJob(context.Background(), j)
-		}(i)
-	}
-	wg.Wait()
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("%d concurrent cells ran %d compiles, want 1", callers, n)
-	}
-	for i := range results {
-		if errs[i] != nil || !reflect.DeepEqual(results[i], results[0]) {
-			t.Fatalf("caller %d: err %v, or its Result differs from caller 0's", i, errs[i])
+		for _, kind := range kinds {
+			j := exper.Job{Spec: spec, Params: core.DefaultParams(kind),
+				Policy: core.PolicyFor(kind, 0.5), Instrs: 300_000, Scale: 0.1, Seed: 7}
+			data, info, err := CompileSpec(spec, workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, j.Instrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed := replayOnSpace(t, j, mustValidate(t, data).Replay())
+			live, err := exper.ExecuteJobContext(context.Background(), j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Refs != live.MemRefs {
+				t.Errorf("%s/%v: segment holds %d refs, the live cell read %d", name, kind, info.Refs, live.MemRefs)
+			}
+			if !reflect.DeepEqual(live, replayed) {
+				t.Errorf("%s/%v: replayed Result differs from live synthesis:\n%+v\n%+v", name, kind, replayed, live)
+			}
 		}
-	}
-	key := Key(spec, workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, j.Instrs)
-	if _, err := store.Get(key); err != nil {
-		t.Fatalf("compiled segment not stored: %v", err)
-	}
-	fresh := &Executor{Store: store, CompileModels: true, Logf: countCompiles}
-	again, err := fresh.ExecuteJob(context.Background(), j)
-	if err != nil || !reflect.DeepEqual(again, results[0]) {
-		t.Fatalf("replay from the store: err %v, or its Result differs", err)
-	}
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("a stored segment was compiled again (%d compiles)", n)
 	}
 }
 
@@ -905,14 +902,8 @@ func TestReplayRunContextAtBlockEdges(t *testing.T) {
 	}
 	for _, budget := range []uint64{edge, edge + 50_000} {
 		j.Instrs = budget
-		blocks, err := exper.RunModel(context.Background(), j, s.Replay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		next, err := exper.RunModel(context.Background(), j, nextOnly{s.Replay()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		blocks := replayOnSpace(t, j, s.Replay())
+		next := replayOnSpace(t, j, nextOnly{s.Replay()})
 		if !reflect.DeepEqual(blocks, next) {
 			t.Fatalf("budget %d: block-wise Result %+v\n!= Next-only Result %+v", budget, blocks, next)
 		}
