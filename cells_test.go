@@ -33,7 +33,11 @@ func TestCellShapesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := tracec.EncodeRefs(refs)
+	enc := tracec.NewEncoder()
+	for _, r := range refs {
+		enc.Add(r)
+	}
+	data, _, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,14 @@ func main() {
 }
 
 func run(ctx context.Context, out *os.File) error {
+	kinds := append(xlate.AllConfigs(), xlate.ExtendedConfigs()...)
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.String()
+	}
 	var (
 		workload = flag.String("workload", "mcf", "workload model name (see -list)")
-		config   = flag.String("config", "RMM_Lite", "configuration: 4KB, THP, TLB_Lite, RMM, TLB_PP, RMM_Lite")
+		config   = flag.String("config", "RMM_Lite", "configuration: "+strings.Join(names, ", "))
 		instrs   = flag.Uint64("instrs", 20_000_000, "instruction budget")
 		seed     = flag.Int64("seed", 42, "random seed")
 		scale    = flag.Float64("scale", 1.0, "workload footprint scale")
@@ -73,8 +78,8 @@ func run(ctx context.Context, out *os.File) error {
 
 	if *list {
 		fmt.Fprintln(out, "Configurations:")
-		for _, k := range xlate.AllConfigs() {
-			fmt.Fprintf(out, "  %s\n", k)
+		for _, name := range names {
+			fmt.Fprintf(out, "  %s\n", name)
 		}
 		fmt.Fprintln(out, "Workloads:")
 		for _, w := range xlate.AllWorkloads() {
@@ -87,14 +92,8 @@ func run(ctx context.Context, out *os.File) error {
 		return nil
 	}
 
-	var kind xlate.Config
-	found := false
-	for _, k := range xlate.AllConfigs() {
-		if strings.EqualFold(k.String(), *config) {
-			kind, found = k, true
-		}
-	}
-	if !found {
+	kind, ok := core.ParseConfig(*config)
+	if !ok {
 		return fmt.Errorf("unknown config %q: %w", *config, obsflags.ErrUsage)
 	}
 	w, err := xlate.WorkloadByName(*workload)

@@ -1,7 +1,8 @@
 // Package core wires the substrates — TLBs, MMU caches, page tables,
 // range tables, the Lite controller, and the energy/performance models —
 // into the per-core MMU simulator the paper's evaluation runs on, and
-// defines the six simulated configurations of §5:
+// defines the six simulated configurations of §5 (plus the TLB_Pred and
+// Combined extensions of DESIGN.md §4):
 //
 //	4KB      — 4 KB pages only (Figure 1 hierarchy minus huge-page TLBs)
 //	THP      — transparent huge pages: parallel L1-4KB and L1-2MB TLBs
@@ -15,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"xlate/internal/addr"
 	"xlate/internal/audit"
@@ -46,27 +48,65 @@ const (
 	NumConfigs
 )
 
+// l1Layout is a configuration's set of L1 page TLBs (Figure 1).
+type l1Layout uint8
+
+const (
+	l1Split l1Layout = iota // L1-4KB, L1-2MB and L1-1GB TLBs
+	l1No2M                  // L1-4KB and L1-1GB TLBs: 2 MB pages are never mapped
+	l1Mixed                 // one L1 TLB holding every page size
+)
+
+// config is one configuration's row: every structural and OS-policy
+// choice that tells it apart from the others.
+type config struct {
+	name             string
+	l1               l1Layout
+	l1Range, l2Range bool // L1-range and L2-range TLBs present
+	lite             bool // the Lite controller monitors every L1 page TLB
+	predictor        bool // a fallible page-size predictor indexes the mixed L1
+	thp, eager       bool // the OS policy: transparent huge pages, eager paging
+	absEpsilon       bool // Lite's ε is absolute (0.1 MPKI), not relative
+}
+
+// configs is the one place configurations differ (DESIGN.md §4).
+var configs = [NumConfigs]config{
+	Cfg4KB:      {name: "4KB", l1: l1No2M},
+	CfgTHP:      {name: "THP", l1: l1Split, thp: true},
+	CfgTLBLite:  {name: "TLB_Lite", l1: l1Split, lite: true, thp: true},
+	CfgRMM:      {name: "RMM", l1: l1Split, l2Range: true, thp: true, eager: true},
+	CfgTLBPP:    {name: "TLB_PP", l1: l1Mixed, thp: true},
+	CfgRMMLite:  {name: "RMM_Lite", l1: l1No2M, l1Range: true, l2Range: true, lite: true, eager: true, absEpsilon: true},
+	CfgTLBPred:  {name: "TLB_Pred", l1: l1Mixed, predictor: true, thp: true},
+	CfgCombined: {name: "Combined", l1: l1Mixed, l1Range: true, l2Range: true, lite: true, predictor: true, thp: true, eager: true, absEpsilon: true},
+}
+
+// row returns the kind's configuration, and false for a kind outside
+// the table (whose zero row resolve rejects).
+func (k ConfigKind) row() (config, bool) {
+	if k < 0 || int(k) >= len(configs) {
+		return config{}, false
+	}
+	return configs[k], true
+}
+
 // String returns the paper's name for the configuration.
 func (k ConfigKind) String() string {
-	switch k {
-	case Cfg4KB:
-		return "4KB"
-	case CfgTHP:
-		return "THP"
-	case CfgTLBLite:
-		return "TLB_Lite"
-	case CfgRMM:
-		return "RMM"
-	case CfgTLBPP:
-		return "TLB_PP"
-	case CfgRMMLite:
-		return "RMM_Lite"
-	case CfgTLBPred:
-		return "TLB_Pred"
-	case CfgCombined:
-		return "Combined"
+	if c, ok := k.row(); ok {
+		return c.name
 	}
 	return fmt.Sprintf("ConfigKind(%d)", int(k))
+}
+
+// ParseConfig returns the configuration a name (case-insensitive)
+// names, and false when none does.
+func ParseConfig(name string) (ConfigKind, bool) {
+	for k, c := range configs {
+		if strings.EqualFold(c.name, name) {
+			return ConfigKind(k), true
+		}
+	}
+	return 0, false
 }
 
 // AllConfigs lists the paper's six configurations in presentation order.
@@ -188,50 +228,22 @@ func DefaultParams(kind ConfigKind) Params {
 		MispredictPenaltyCycles: 1,
 	}
 	p.Lite = lite.DefaultConfig()
-	if kind == CfgRMMLite || kind == CfgCombined {
+	if c, _ := kind.row(); c.absEpsilon {
 		p.Lite.Epsilon = lite.AbsoluteThreshold(0.1)
 	}
 	return p
 }
 
-// hasLite reports whether the Lite controller is active.
-func (p Params) hasLite() bool {
-	return p.Kind == CfgTLBLite || p.Kind == CfgRMMLite || p.Kind == CfgCombined
-}
-
-// hasL2Range reports whether an L2-range TLB is present.
-func (p Params) hasL2Range() bool {
-	return p.Kind == CfgRMM || p.Kind == CfgRMMLite || p.Kind == CfgCombined
-}
-
-// hasL1Range reports whether an L1-range TLB is present.
-func (p Params) hasL1Range() bool { return p.Kind == CfgRMMLite || p.Kind == CfgCombined }
-
-// hasPredictor reports whether a real (fallible) page-size predictor
-// selects the mixed TLB's index.
-func (p Params) hasPredictor() bool { return p.Kind == CfgTLBPred || p.Kind == CfgCombined }
-
-// PolicyFor returns the OS memory policy matching a configuration:
-// 4KB runs without huge pages; THP-based configurations use transparent
-// huge pages at the workload's achievable coverage; RMM adds eager
-// paging; RMM_Lite uses eager paging with plain 4 KB pages (§5 config
-// vi: "4 KB pages and range translations in both L1 and L2 TLBs").
+// PolicyFor returns the OS memory policy of a configuration's row:
+// transparent huge pages at the workload's achievable coverage where
+// the row has THP, eager paging where it has range translations. A
+// kind outside the table gets the 4 KB policy; NewSimulator rejects it.
 func PolicyFor(kind ConfigKind, thpCoverage float64) vm.Policy {
-	switch kind {
-	case Cfg4KB:
-		return vm.Policy{}
-	case CfgTHP, CfgTLBLite, CfgTLBPP:
-		return vm.Policy{THP: true, THPCoverage: thpCoverage}
-	case CfgRMM:
-		return vm.Policy{THP: true, THPCoverage: thpCoverage, EagerPaging: true}
-	case CfgRMMLite:
-		return vm.Policy{EagerPaging: true}
-	case CfgTLBPred:
-		return vm.Policy{THP: true, THPCoverage: thpCoverage}
-	case CfgCombined:
-		return vm.Policy{THP: true, THPCoverage: thpCoverage, EagerPaging: true}
+	c, _ := kind.row()
+	if !c.thp {
+		thpCoverage = 0
 	}
-	panic(fmt.Sprintf("core: unknown config kind %d", int(kind)))
+	return vm.Policy{THP: c.thp, THPCoverage: thpCoverage, EagerPaging: c.eager}
 }
 
 // l1Spec is one L1 page TLB of a configuration's probe set (Figure 1).
@@ -244,20 +256,18 @@ type l1Spec struct {
 	cost          []energy.Cost // cost[w] prices a probe or fill at w active ways (set by resolveCosts)
 }
 
-// l1Specs lists the configuration's L1 page TLBs in probe order. TLB_PP
-// and the predictor extensions have one mixed L1 holding every page
-// size. The others have the L1-4KB TLB, an L1-2MB TLB where the
-// configuration caches 2 MB pages apart (THP, TLB_Lite, RMM), and Figure
-// 1's small fully associative L1-1GB TLB, which the §3.1 mask keeps
-// disabled (and free) until a 1 GB mapping is actually walked.
-func (p Params) l1Specs() []l1Spec {
+// l1Specs lists the configuration's L1 page TLBs in probe order: one
+// mixed L1 holding every page size, or the L1-4KB TLB, the L1-2MB TLB
+// of the split layout, and Figure 1's small fully associative L1-1GB
+// TLB, which the §3.1 mask keeps disabled (and free) until a 1 GB
+// mapping is actually walked.
+func (c config) l1Specs(p Params) []l1Spec {
 	specs := []l1Spec{{name: energy.L14KB, size: addr.Page4K, acc: energy.AccL1Page4K,
-		entries: p.L14KEntries, ways: p.L14KWays}}
-	switch p.Kind {
-	case CfgTLBPP, CfgTLBPred, CfgCombined:
-		specs[0].mixed = true
+		entries: p.L14KEntries, ways: p.L14KWays, mixed: c.l1 == l1Mixed}}
+	if c.l1 == l1Mixed {
 		return specs
-	case CfgTHP, CfgTLBLite, CfgRMM:
+	}
+	if c.l1 == l1Split {
 		specs = append(specs, l1Spec{name: energy.L12MB, size: addr.Page2M, acc: energy.AccL1Page2M,
 			entries: p.L12MEntries, ways: p.L12MWays})
 	}
@@ -310,17 +320,18 @@ func (p Params) Validate() error {
 // resolve validates p and resolves its energy costs; NewSimulator builds
 // the hierarchy from the result.
 func (p Params) resolve() (energyCosts, error) {
-	if p.Kind < 0 || p.Kind >= NumConfigs {
+	c, ok := p.Kind.row()
+	if !ok {
 		return energyCosts{}, fmt.Errorf("core: %w: invalid config kind %d", ErrInvalidParams, int(p.Kind))
 	}
-	for _, sp := range p.l1Specs() {
+	for _, sp := range c.l1Specs(p) {
 		if sp.entries <= 0 || sp.ways <= 0 || sp.entries%sp.ways != 0 {
 			return energyCosts{}, fmt.Errorf("core: %w: bad %s geometry %d/%d", ErrInvalidParams, sp.name, sp.entries, sp.ways)
 		}
 		// Lite's LRU-distance monitors bucket ways in powers of two
 		// (Figure 6); non-power-of-two associativity would panic deep in
 		// internal/lite at controller construction.
-		if p.hasLite() && sp.ways&(sp.ways-1) != 0 {
+		if c.lite && sp.ways&(sp.ways-1) != 0 {
 			return energyCosts{}, fmt.Errorf("core: %w: Lite requires power-of-two %s associativity, got %d",
 				ErrInvalidParams, sp.name, sp.ways)
 		}
@@ -328,10 +339,10 @@ func (p Params) resolve() (energyCosts, error) {
 	if p.L2Entries <= 0 || p.L2Ways <= 0 || p.L2Entries%p.L2Ways != 0 {
 		return energyCosts{}, fmt.Errorf("core: %w: bad L2 geometry %d/%d", ErrInvalidParams, p.L2Entries, p.L2Ways)
 	}
-	if p.hasL2Range() && p.L2RangeEntries <= 0 {
+	if c.l2Range && p.L2RangeEntries <= 0 {
 		return energyCosts{}, fmt.Errorf("core: %w: bad L2-range capacity %d", ErrInvalidParams, p.L2RangeEntries)
 	}
-	if p.hasL1Range() && p.L1RangeEntries <= 0 {
+	if c.l1Range && p.L1RangeEntries <= 0 {
 		return energyCosts{}, fmt.Errorf("core: %w: bad L1-range capacity %d", ErrInvalidParams, p.L1RangeEntries)
 	}
 	if p.WalkL1HitRatio < 0 || p.WalkL1HitRatio > 1 {
@@ -346,12 +357,12 @@ func (p Params) resolve() (energyCosts, error) {
 	if err := p.MMU.Validate(); err != nil {
 		return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 	}
-	if p.hasLite() {
+	if c.lite {
 		if err := p.Lite.Validate(); err != nil {
 			return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 		}
 	}
-	if p.hasPredictor() {
+	if c.predictor {
 		if p.PredictorEntries <= 0 || p.PredictorEntries&(p.PredictorEntries-1) != 0 {
 			return energyCosts{}, fmt.Errorf("core: %w: predictor entries %d must be a positive power of two", ErrInvalidParams, p.PredictorEntries)
 		}
@@ -362,13 +373,13 @@ func (p Params) resolve() (energyCosts, error) {
 	if err := p.Fault.Validate(); err != nil {
 		return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 	}
-	return p.resolveCosts()
+	return p.resolveCosts(c)
 }
 
 // resolveCosts looks up every cost the configuration can charge. A
 // missing entry — possible in a database shipped over the wire — is a
 // parameter error here rather than a panic mid-run.
-func (p Params) resolveCosts() (energyCosts, error) {
+func (p Params) resolveCosts(cfg config) (energyCosts, error) {
 	var err error
 	get := func(name string, ways int) energy.Cost {
 		c, ok := p.EnergyDB.Lookup(name, ways)
@@ -377,14 +388,14 @@ func (p Params) resolveCosts() (energyCosts, error) {
 		}
 		return c
 	}
-	c := energyCosts{l1: p.l1Specs()}
+	c := energyCosts{l1: cfg.l1Specs(p)}
 	for i := range c.l1 {
 		sp := &c.l1[i]
 		// Lite may run a monitored TLB at any power-of-two way count;
 		// without it a TLB always runs at its physical associativity.
 		sp.cost = make([]energy.Cost, sp.ways+1)
 		w := sp.ways
-		if p.hasLite() {
+		if cfg.lite {
 			w = 1
 		}
 		for ; w <= sp.ways; w *= 2 {
@@ -392,10 +403,10 @@ func (p Params) resolveCosts() (energyCosts, error) {
 		}
 	}
 	c.l2 = get(energy.L2Page, 0)
-	if p.hasL1Range() {
+	if cfg.l1Range {
 		c.l1Rng = get(energy.L1Range, 0)
 	}
-	if p.hasL2Range() {
+	if cfg.l2Range {
 		c.l2Rng = get(energy.L2Range, 0)
 	}
 	for i, name := range mmuCacheNames {

@@ -137,6 +137,7 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg, _ := p.Kind.row()
 	s := &Simulator{
 		p:        p,
 		as:       as,
@@ -155,24 +156,24 @@ func NewSimulator(p Params, as *vm.AddressSpace) (*Simulator, error) {
 		} else {
 			s.l1BySize[sp.size] = i
 		}
-		if p.hasLite() {
+		if cfg.lite {
 			// Lite monitors every L1 page TLB (§4.2.2).
 			t.liteIdx = len(monitored)
 			monitored = append(monitored, t.tlb)
 		}
 		s.l1 = append(s.l1, t)
 	}
-	if p.hasL2Range() {
+	if cfg.l2Range {
 		s.l2rng = tlb.NewRangeTLB(energy.L2Range, p.L2RangeEntries)
 		s.rt = as.RangeTable()
 	}
-	if p.hasL1Range() {
+	if cfg.l1Range {
 		s.l1rng = tlb.NewRangeTLB(energy.L1Range, p.L1RangeEntries)
 	}
-	if p.hasLite() {
+	if cfg.lite {
 		s.ctl = lite.NewController(p.Lite, monitored...)
 	}
-	if p.hasPredictor() {
+	if cfg.predictor {
 		s.pred = newSizePredictor(p.PredictorEntries)
 	}
 	if p.Fault.Kind != inject.None {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"xlate/internal/addr"
@@ -50,11 +51,22 @@ func mustRun(t testing.TB, sim *Simulator, src trace.RefSource, instrs uint64) R
 }
 
 func TestConfigNames(t *testing.T) {
-	want := []string{"4KB", "THP", "TLB_Lite", "RMM", "TLB_PP", "RMM_Lite"}
-	for i, k := range AllConfigs() {
+	want := []string{"4KB", "THP", "TLB_Lite", "RMM", "TLB_PP", "RMM_Lite", "TLB_Pred", "Combined"}
+	for i, k := range append(AllConfigs(), ExtendedConfigs()...) {
 		if k.String() != want[i] {
 			t.Errorf("config %d = %q, want %q", i, k, want[i])
 		}
+		for _, name := range []string{want[i], strings.ToLower(want[i]), strings.ToUpper(want[i])} {
+			if got, ok := ParseConfig(name); !ok || got != k {
+				t.Errorf("ParseConfig(%q) = %v, %v; want %v", name, got, ok, k)
+			}
+		}
+	}
+	if got := ConfigKind(99).String(); got != "ConfigKind(99)" {
+		t.Errorf("ConfigKind(99) = %q", got)
+	}
+	if _, ok := ParseConfig("TLB"); ok {
+		t.Error("ParseConfig accepted an unknown name")
 	}
 }
 

@@ -297,6 +297,29 @@ func TestJobKeyStability(t *testing.T) {
 	if jobKey(b) == jobKey(d) {
 		t.Error("energy database contents must be part of the cell key")
 	}
+
+	// The key of one fixed job under every configuration, pinned: a
+	// change to how Params or its Kind prints would orphan every
+	// checkpoint, journal and daemon cache keyed before it.
+	pinned := map[string]string{
+		"4KB":      "29d5bbef4b1b1706cd86f63380a505d2f6ca2f3016b72f5d5e213e6f33ab8562",
+		"THP":      "ee3c2b12a24d58275deff11f61d6a6e5f53087347090898caaddabe31e3e2d02",
+		"TLB_Lite": "ce85002416bd99f0dbee5cd543f90c3f975632badb8608490c7cfe2fadd131ed",
+		"RMM":      "5b9594ffb91ff3c2245bb757d19488a4b383cbaad3f1e75164b9a71d261ed146",
+		"TLB_PP":   "13cc494fdb68985df22fcf1e22e83068f5117a8aa75da45e21b1d8b5eb464a6b",
+		"RMM_Lite": "ca3eb6b77434b94180290cc279e7da2bab2a5b53ec672ef198ca98d5733b32f7",
+		"TLB_Pred": "554ec89bedbcd1a74378109035481d972f190e09ed3ff57bc32b644a1566a114",
+		"Combined": "dc01594b8362a2c3b1d2ef1040bd5c59ef80e3647db38064ccc3691b454aac8d",
+	}
+	kinds := append(core.AllConfigs(), core.ExtendedConfigs()...)
+	if len(kinds) != len(pinned) {
+		t.Fatalf("%d configurations, %d pinned keys", len(kinds), len(pinned))
+	}
+	for _, k := range kinds {
+		if got := jobKey(tinyJob("alpha", k, 7)); got != pinned[k.String()] {
+			t.Errorf("%v: key %s, pinned %s", k, got, pinned[k.String()])
+		}
+	}
 }
 
 func TestRetrySeedDeterministic(t *testing.T) {

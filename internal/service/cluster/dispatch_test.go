@@ -30,7 +30,11 @@ func TestExecuteCellLeadsOnce(t *testing.T) {
 	for i := range refs {
 		refs[i] = trace.Ref{VA: addr.VA(1<<30 + uint64(i%512)<<12), Instrs: 3}
 	}
-	seg, _, err := tracec.EncodeRefs(refs)
+	enc := tracec.NewEncoder()
+	for _, r := range refs {
+		enc.Add(r)
+	}
+	seg, _, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,14 +166,8 @@ func resolve(req SubmitRequest, edb cellDefaults) (resolved, error) {
 	if req.Config == "" {
 		return resolved{}, fmt.Errorf("%w: cell jobs need a config", ErrBadRequest)
 	}
-	var kind core.ConfigKind
-	found := false
-	for _, k := range append(core.AllConfigs(), core.ExtendedConfigs()...) {
-		if strings.EqualFold(k.String(), req.Config) {
-			kind, found = k, true
-		}
-	}
-	if !found {
+	kind, ok := core.ParseConfig(req.Config)
+	if !ok {
 		return resolved{}, fmt.Errorf("%w: unknown config %q", ErrBadRequest, req.Config)
 	}
 	if err := checkSeries(req.Instrs, req.Interval); err != nil {

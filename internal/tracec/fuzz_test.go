@@ -23,7 +23,7 @@ import (
 )
 
 // FuzzSegmentDecode is the decoder's robustness contract: for arbitrary
-// input the full decode pipeline (Stat, DecodeAll, NewReplay) never
+// input the full decode pipeline (Stat, NewReplay) never
 // panics; every rejection is the typed ErrSegmentCorrupt; and any input
 // that passes the Stat gate decodes cleanly, replays, and re-encodes to
 // the same reference stream. It is also a differential test of the
@@ -34,7 +34,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	// Seeds: valid segments of several shapes plus characteristic
 	// damage, so the corpus starts on both sides of the gate.
 	for _, n := range []int{1, 7, 300} {
-		seg, _, err := EncodeRefs(synthRefs(n, int64(n)))
+		seg, _, err := encodeRefs(synthRefs(n, int64(n)))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	for _, l := range []int{7, 8, 9, 10} {
 		big := uint64(1) << min(7*l-1, 63) // the zigzag of this delta, and this count, take l bytes
 		refs := []trace.Ref{{VA: 0x1000, Instrs: 1}, {VA: addr.VA(0x1000 + big/2), Instrs: big}, {VA: 7, Instrs: 2}}
-		seg, _, err := EncodeRefs(refs)
+		seg, _, err := encodeRefs(refs)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -81,8 +81,8 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 			// The other entry points must agree that the bytes are bad
 			// (and must not panic while concluding so).
-			if _, err := DecodeAll(data); !errors.Is(err, ErrSegmentCorrupt) {
-				t.Fatalf("Stat refused but DecodeAll said %v", err)
+			if _, err := decodeAll(data); !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("Stat refused but decodeAll said %v", err)
 			}
 			if _, err := NewReplay(data); !errors.Is(err, ErrSegmentCorrupt) {
 				t.Fatalf("Stat refused but NewReplay said %v", err)
@@ -91,9 +91,9 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		// Stat accepted: the segment must decode, replay, and survive a
 		// round trip through the encoder.
-		refs, err := DecodeAll(data)
+		refs, err := decodeAll(data)
 		if err != nil {
-			t.Fatalf("Stat accepted but DecodeAll failed: %v", err)
+			t.Fatalf("Stat accepted but decodeAll failed: %v", err)
 		}
 		if uint64(len(refs)) != info.Refs {
 			t.Fatalf("decoded %d refs, header says %d", len(refs), info.Refs)
@@ -110,14 +110,14 @@ func FuzzSegmentDecode(f *testing.F) {
 		if rp.Next() != refs[0] || rp.Laps != 1 {
 			t.Fatal("replay did not wrap cleanly after the last reference")
 		}
-		reenc, reinfo, err := EncodeRefs(refs)
+		reenc, reinfo, err := encodeRefs(refs)
 		if err != nil {
 			t.Fatalf("re-encoding decoded refs failed: %v", err)
 		}
 		if reinfo != info {
 			t.Fatalf("re-encode info %+v != original %+v", reinfo, info)
 		}
-		rerefs, err := DecodeAll(reenc)
+		rerefs, err := decodeAll(reenc)
 		if err != nil || !reflect.DeepEqual(rerefs, refs) {
 			t.Fatalf("re-encode round trip diverged (err=%v)", err)
 		}
@@ -135,19 +135,19 @@ func FuzzSegmentDecode(f *testing.F) {
 // replay that outlives its deadline. Run continuously with `make fuzz`.
 func FuzzSimulateTrace(f *testing.F) {
 	f.Add(recordRefs(f, synthRefs(64, 3)))
-	seg, _, err := EncodeRefs(synthRefs(40, 5))
+	seg, _, err := encodeRefs(synthRefs(40, 5))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seg)
 	// Extreme addresses: the top of the address space and zero.
-	edge, _, err := EncodeRefs([]trace.Ref{{VA: ^addr.VA(0), Instrs: 1}, {VA: 0, Instrs: 3}, {VA: 1 << 47, Instrs: 1 << 40}})
+	edge, _, err := encodeRefs([]trace.Ref{{VA: ^addr.VA(0), Instrs: 1}, {VA: 0, Instrs: 3}, {VA: 1 << 47, Instrs: 1 << 40}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(edge)
 	// No instructions at all: a replay of it could never end.
-	idle, _, err := EncodeRefs([]trace.Ref{{VA: 1 << 30, Instrs: 0}})
+	idle, _, err := encodeRefs([]trace.Ref{{VA: 1 << 30, Instrs: 0}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func FuzzIngest(f *testing.F) {
 	f.Add(recordRefs(f, []trace.Ref{{VA: 1 << 30, Instrs: 1 << 63}, {VA: 64, Instrs: 1<<63 + 5}}))
 	// Zero-padded varints, which a canonical re-encoding shortens.
 	f.Add([]byte("XLTRACE1\n\x82\x80\x80\x00\x81\x00\x02\x01"))
-	seg, _, err := EncodeRefs(synthRefs(40, 5))
+	seg, _, err := encodeRefs(synthRefs(40, 5))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -162,15 +162,6 @@ func (e *Encoder) Finish() ([]byte, SegmentInfo, error) {
 	return e.out[start:], SegmentInfo{Blocks: e.blocks, Refs: e.refs, Instrs: e.instrs}, nil
 }
 
-// EncodeRefs builds a segment from a complete reference slice.
-func EncodeRefs(refs []trace.Ref) ([]byte, SegmentInfo, error) {
-	e := NewEncoder()
-	for _, r := range refs {
-		e.Add(r)
-	}
-	return e.Finish()
-}
-
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("tracec: %w: %s", ErrSegmentCorrupt, fmt.Sprintf(format, args...))
 }
@@ -300,29 +291,6 @@ func Stat(data []byte) (SegmentInfo, error) {
 			refs, info.Refs, instrs, info.Instrs)
 	}
 	return info, nil
-}
-
-// DecodeAll validates a segment and materializes every reference —
-// test and tooling convenience; the simulator path uses Replay instead.
-func DecodeAll(data []byte) ([]trace.Ref, error) {
-	info, err := Stat(data)
-	if err != nil {
-		return nil, err
-	}
-	_, off, _ := header(data)
-	out := make([]trace.Ref, 0, info.Refs)
-	for b := 0; b < info.Blocks; b++ {
-		nr, payload, next, err := blockAt(data, off)
-		if err != nil {
-			return nil, err
-		}
-		out, err = decodeBlock(out, nr, payload)
-		if err != nil {
-			return nil, err
-		}
-		off = next
-	}
-	return out, nil
 }
 
 // Segment is a validated trace segment: the only way to obtain one

@@ -42,9 +42,32 @@ func synthRefs(n int, seed int64) []trace.Ref {
 	return refs
 }
 
+// encodeRefs builds a segment from a complete reference slice.
+func encodeRefs(refs []trace.Ref) ([]byte, SegmentInfo, error) {
+	e := NewEncoder()
+	for _, r := range refs {
+		e.Add(r)
+	}
+	return e.Finish()
+}
+
+// decodeAll validates a segment and replays each of its references
+// once.
+func decodeAll(data []byte) ([]trace.Ref, error) {
+	rp, err := NewReplay(data)
+	if err != nil {
+		return nil, err
+	}
+	refs := make([]trace.Ref, rp.Info().Refs)
+	for i := range refs {
+		refs[i] = rp.Next()
+	}
+	return refs, nil
+}
+
 func mustSegment(t *testing.T, refs []trace.Ref) ([]byte, SegmentInfo) {
 	t.Helper()
-	seg, info, err := EncodeRefs(refs)
+	seg, info, err := encodeRefs(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +102,9 @@ func TestRoundTrip(t *testing.T) {
 		if statInfo != info {
 			t.Fatalf("n=%d: Stat info %+v != encode info %+v", n, statInfo, info)
 		}
-		got, err := DecodeAll(seg)
+		got, err := decodeAll(seg)
 		if err != nil {
-			t.Fatalf("n=%d: DecodeAll: %v", n, err)
+			t.Fatalf("n=%d: decodeAll: %v", n, err)
 		}
 		if !reflect.DeepEqual(got, refs) {
 			t.Fatalf("n=%d: decoded refs differ from encoded refs", n)
@@ -120,8 +143,8 @@ func TestCorruption(t *testing.T) {
 	if _, err := Stat([]byte("not a segment at all")); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("Stat(garbage) = %v, want ErrSegmentCorrupt", err)
 	}
-	if _, err := DecodeAll(nil); !errors.Is(err, ErrSegmentCorrupt) {
-		t.Fatalf("DecodeAll(nil) = %v, want ErrSegmentCorrupt", err)
+	if _, err := decodeAll(nil); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("decodeAll(nil) = %v, want ErrSegmentCorrupt", err)
 	}
 }
 
@@ -264,7 +287,7 @@ func TestIngest(t *testing.T) {
 	if info.Refs != uint64(len(refs)) {
 		t.Fatalf("ingested %d refs, want %d", info.Refs, len(refs))
 	}
-	got, err := DecodeAll(seg)
+	got, err := decodeAll(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +324,7 @@ func TestIngest(t *testing.T) {
 	}
 	// A pre-compiled segment without a single instruction: replaying it
 	// would never consume a budget.
-	idle, _, err := EncodeRefs([]trace.Ref{{VA: 4096, Instrs: 0}})
+	idle, _, err := encodeRefs([]trace.Ref{{VA: 4096, Instrs: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,7 +760,7 @@ func TestExecutorIngestedReplay(t *testing.T) {
 	for i := range sweep {
 		sweep[i] = trace.Ref{VA: addr.VA(1<<32 + i*128<<10), Instrs: 3}
 	}
-	sweepSeg, _, err := EncodeRefs(sweep)
+	sweepSeg, _, err := encodeRefs(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -807,17 +830,14 @@ func TestIsKey(t *testing.T) {
 	}
 }
 
-// TestReplayBlocksMatchDecodeAll consumes a replay through its
+// TestReplayBlocksMatchEncoded consumes a replay through its
 // BlockSource methods in uneven steps over two and a half passes: every
-// peeked reference must equal DecodeAll's at its wrapped index, and
+// peeked reference must equal the encoded one at its wrapped index, and
 // after every Peek, Laps must count the passes completed before the
 // reference it shows.
-func TestReplayBlocksMatchDecodeAll(t *testing.T) {
-	seg, _ := mustSegment(t, synthRefs(2*blockRefs+1000, 5)) // three blocks, the last partial
-	want, err := DecodeAll(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestReplayBlocksMatchEncoded(t *testing.T) {
+	want := synthRefs(2*blockRefs+1000, 5) // three blocks, the last partial
+	seg, _ := mustSegment(t, want)
 	rp, err := NewReplay(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -831,7 +851,7 @@ func TestReplayBlocksMatchDecodeAll(t *testing.T) {
 		k := min(step, len(got))
 		for j := 0; j < k; j++ {
 			if got[j] != want[(i+j)%n] {
-				t.Fatalf("ref %d = %+v, DecodeAll says %+v", i+j, got[j], want[(i+j)%n])
+				t.Fatalf("ref %d = %+v, encoded %+v", i+j, got[j], want[(i+j)%n])
 			}
 		}
 		rp.Skip(k)
@@ -892,7 +912,7 @@ func TestReplayRunContextAtBlockEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, err := DecodeAll(data)
+	refs, err := decodeAll(data)
 	if err != nil || len(refs) < 2*blockRefs {
 		t.Fatalf("segment has %d refs (err %v), want two blocks", len(refs), err)
 	}

@@ -42,6 +42,8 @@ func TestInvalidParamsRejected(t *testing.T) {
 		{"Lite reactivation probability above 1", func(p *xlate.Params) { p.Lite.ReactivateProb = 2 }},
 		{"non-power-of-two ways under Lite", func(p *xlate.Params) { p.L14KEntries, p.L14KWays = 60, 3 }},
 		{"zero MMU PDE entries", func(p *xlate.Params) { p.MMU.PDEEntries = 0 }},
+		{"config kind past the last configuration", func(p *xlate.Params) { p.Kind = 99 }},
+		{"negative config kind", func(p *xlate.Params) { p.Kind = -1 }},
 	}
 	w := validWorkload()
 	for _, tc := range cases {
@@ -53,6 +55,9 @@ func TestInvalidParamsRejected(t *testing.T) {
 				t.Fatalf("RunParams = %v, want ErrInvalidParams", err)
 			}
 		})
+	}
+	if _, _, err := xlate.RunMulticore(w, 99, 2, 1000, xlate.RunOptions{}); !errors.Is(err, xlate.ErrInvalidParams) {
+		t.Errorf("RunMulticore(kind 99) = %v, want ErrInvalidParams", err)
 	}
 }
 
