@@ -254,11 +254,18 @@ trace-smoke:
 	@echo "trace-smoke: recorded trace replayed by eeatsim; ingested trace ran end to end through the cluster, fetched once per worker"
 
 # Go line counts, non-test and test, excluding the benchmark's build
-# directory (.bench_build/) and fixture trees (testdata/).
+# directory (.bench_build/) and fixture trees (testdata/), then the
+# non-test lines of the ROADMAP's two layers: the paper's research core
+# and the infrastructure around it.
 LOC_FIND = find . -name '*.go' -not -path './.bench_build/*' -not -path '*/testdata/*'
+CORE_DIRS = $(addprefix internal/,addr tlb vm rmm lite energy pagetable physmem mmucache trace workloads core)
+INFRA_DIRS = $(addprefix internal/,service telemetry harness lint tracec) cmd
+loc_layer = $$($(LOC_FIND) ! -name '*_test.go' \( $(foreach d,$(1),-path './$(d)/*' -o) -false \) -exec cat {} + | wc -l)
 loc:
 	@echo "non-test Go lines: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l)"
 	@echo "test Go lines:     $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "  research core:   $(call loc_layer,$(CORE_DIRS))"
+	@echo "  infrastructure:  $(call loc_layer,$(INFRA_DIRS))"
 
 # Profile a reduced-scale run and print the hottest ten functions.
 # cpu.prof is left behind for `go tool pprof -http` exploration.

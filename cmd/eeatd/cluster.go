@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"xlate/internal/exper"
+	"xlate/internal/harness"
 	"xlate/internal/obsflags"
+	"xlate/internal/service"
 	"xlate/internal/service/client"
 	"xlate/internal/service/cluster"
 	"xlate/internal/telemetry"
@@ -59,6 +61,33 @@ func (o clusterOpts) startObs(status func() any) (*obsflags.Session, error) {
 	return o.obs.Start(status, o.logf)
 }
 
+// runSuite is the tail the -cluster and -coordinator modes share: it
+// times run, writes the merged report to stdout and the -metrics-out
+// and -load-out files, and maps the outcome to an exit code. A fully
+// successful run retires its crash journal, mirroring the harness
+// checkpoint's clean-run cleanup; any failure keeps it so the next
+// start resumes.
+func (o clusterOpts) runSuite(reg *telemetry.Registry, run func() ([]harness.ExperimentResult, error), removeJournal func() error) int {
+	start := time.Now()
+	results, runErr := run()
+	wall := time.Since(start)
+	failures := cluster.WriteReport(os.Stdout, results)
+	writeMetrics(o.metricsOut, reg, o.logf)
+	writeLoadReport(o.loadOut, cluster.MeasureLoad(reg, wall), o.logf)
+	if runErr != nil {
+		o.logf("cluster run: %v", runErr)
+		return 1
+	}
+	if failures > 0 {
+		o.logf("cluster run: %d experiments not reproduced", failures)
+		return 1
+	}
+	if err := removeJournal(); err != nil {
+		o.logf("%v", err)
+	}
+	return 0
+}
+
 // openTraceStore opens the -trace-store directory, or returns nil when
 // none was given (no trace subsystem).
 func openTraceStore(dir string) (*tracec.Store, error) {
@@ -94,7 +123,7 @@ func selectExperiments(spec string) ([]exper.Experiment, error) {
 // in-process workers runs the selected experiments, the merged report
 // goes to stdout, and the optional chaos plan injects deterministic
 // network faults — the single-binary harness the cluster smoke builds
-// on.
+// on. With -soak S the same cluster runs S suites at once (runSoak).
 func runDevCluster(o clusterOpts) int {
 	dirs, err := cluster.ParseChaos(o.chaos)
 	if err != nil {
@@ -113,12 +142,20 @@ func runDevCluster(o clusterOpts) int {
 		o.logf("-ingest needs -trace-store")
 		return 2
 	}
+	if o.ingest != "" && o.soak > 0 {
+		o.logf("-ingest cannot be combined with -soak")
+		return 2
+	}
 	if o.exp == "" && o.ingest == "" {
 		o.logf("nothing to run: give -exp, -ingest, or both")
 		return 2
 	}
-	if o.soak > 0 {
-		return runSoak(o, dirs, exps)
+	var golden []byte
+	if o.soak > 0 && o.golden != "" {
+		if golden, err = os.ReadFile(o.golden); err != nil {
+			o.logf("golden: %v", err)
+			return 2
+		}
 	}
 	var dev *cluster.DevCluster
 	sess, err := o.startObs(func() any {
@@ -139,7 +176,7 @@ func runDevCluster(o clusterOpts) int {
 	// suite — so it exists before StartDev, not after.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	dev, err = cluster.StartDev(ctx, cluster.DevConfig{
+	cfg := cluster.DevConfig{
 		Workers:          o.n,
 		CellWorkers:      o.fanout,
 		HeartbeatTimeout: o.hbTimeout,
@@ -152,7 +189,13 @@ func runDevCluster(o clusterOpts) int {
 		Registry:         sess.Registry,
 		Tracer:           sess.Tracer,
 		Logf:             o.logf,
-	})
+	}
+	if o.soak > 0 {
+		return runSoak(ctx, o, cluster.SoakConfig{
+			DevConfig: cfg, Suites: o.soak, Experiments: exps, Golden: golden,
+		})
+	}
+	dev, err = cluster.StartDev(ctx, cfg)
 	if err != nil {
 		o.logf("%v", err)
 		return 2
@@ -173,26 +216,9 @@ func runDevCluster(o clusterOpts) int {
 		exps = append(exps, exper.TraceExperiment(info.Key))
 	}
 
-	suiteStart := time.Now()
-	results, runErr := dev.Run(ctx, exps)
-	suiteWall := time.Since(suiteStart)
-	failures := cluster.WriteReport(os.Stdout, results)
-	writeMetrics(o.metricsOut, sess.Registry, o.logf)
-	writeLoadReport(o.loadOut, cluster.MeasureLoad(sess.Registry, suiteWall), o.logf)
-	if runErr != nil {
-		o.logf("cluster run: %v", runErr)
-		return 1
-	}
-	if failures > 0 {
-		o.logf("cluster run: %d experiments not reproduced", failures)
-		return 1
-	}
-	if o.journal != "" {
-		if err := dev.Coordinator().RemoveJournal(); err != nil {
-			o.logf("%v", err)
-		}
-	}
-	return 0
+	return o.runSuite(sess.Registry,
+		func() ([]harness.ExperimentResult, error) { return dev.Run(ctx, exps) },
+		func() error { return dev.Coordinator().RemoveJournal() })
 }
 
 // runSoak is `eeatd -cluster N -soak S`: S concurrent identical suites
@@ -200,42 +226,10 @@ func runDevCluster(o clusterOpts) int {
 // coordinator itself — killcoord:N needs -journal). Suite 0's report
 // goes to stdout; the exit code reflects the soak invariants: every
 // suite byte-identical to the golden, every cell executed exactly once.
-func runSoak(o clusterOpts, dirs []cluster.Directive, exps []exper.Experiment) int {
-	var golden []byte
-	if o.golden != "" {
-		b, err := os.ReadFile(o.golden)
-		if err != nil {
-			o.logf("golden: %v", err)
-			return 2
-		}
-		golden = b
-	}
-	sess, err := o.startObs(nil)
-	if err != nil {
-		o.logf("%v", err)
-		return 2
-	}
-	defer sess.Close() //nolint:errcheck // exit path; close errors already logged
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	res, err := cluster.RunSoak(ctx, cluster.SoakConfig{
-		Workers:          o.n,
-		Suites:           o.soak,
-		CellWorkers:      o.fanout,
-		Experiments:      exps,
-		Options:          exper.Options{Instrs: o.instrs, Scale: o.scale, Seed: o.seed},
-		Chaos:            dirs,
-		Golden:           golden,
-		Journal:          o.journal,
-		HeartbeatTimeout: o.hbTimeout,
-		HeartbeatEvery:   o.hbEvery,
-		Retry:            client.Backoff{Seed: o.seed},
-		Registry:         sess.Registry,
-		Tracer:           sess.Tracer,
-		Logf:             o.logf,
-	})
+func runSoak(ctx context.Context, o clusterOpts, cfg cluster.SoakConfig) int {
+	res, err := cluster.RunSoak(ctx, cfg)
 	os.Stdout.WriteString(res.Report) //nolint:errcheck // best-effort report
-	writeMetrics(o.metricsOut, sess.Registry, o.logf)
+	writeMetrics(o.metricsOut, cfg.Registry, o.logf)
 	writeLoadReport(o.loadOut, res.Load, o.logf)
 	o.logf("soak: %d suites, %d mismatches, %d coordinator restarts, %d cells executed (%d unique, %d federated, %d requeues)",
 		res.Suites, res.Mismatches, res.Restarts, res.CellsExecuted, res.UniqueCells, res.CellsFederated, res.Requeues)
@@ -295,11 +289,7 @@ func runCoordinator(o clusterOpts) int {
 		o.logf("%v", err)
 		return 2
 	}
-	srv := &http.Server{
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := service.NewHTTPServer(coord.Handler())
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	defer srv.Close()
 	o.logf("coordinator on http://%s (POST /v1/cluster/join; /status, /metrics, /v1/cluster/metrics)", ln.Addr())
@@ -326,27 +316,9 @@ func runCoordinator(o clusterOpts) int {
 		case <-time.After(200 * time.Millisecond):
 		}
 	}
-	suiteStart := time.Now()
-	results, runErr := coord.RunSuite(ctx, exps)
-	suiteWall := time.Since(suiteStart)
-	failures := cluster.WriteReport(os.Stdout, results)
-	writeMetrics(o.metricsOut, sess.Registry, o.logf)
-	writeLoadReport(o.loadOut, cluster.MeasureLoad(sess.Registry, suiteWall), o.logf)
-	if runErr != nil {
-		o.logf("cluster run: %v", runErr)
-		return 1
-	}
-	if failures > 0 {
-		o.logf("cluster run: %d experiments not reproduced", failures)
-		return 1
-	}
-	// A fully successful run retires its crash journal, mirroring the
-	// harness checkpoint's clean-run cleanup; any failure above keeps it
-	// so the next start resumes.
-	if err := coord.RemoveJournal(); err != nil {
-		o.logf("%v", err)
-	}
-	return 0
+	return o.runSuite(sess.Registry,
+		func() ([]harness.ExperimentResult, error) { return coord.RunSuite(ctx, exps) },
+		coord.RemoveJournal)
 }
 
 // ingestTrace POSTs a recorded trace file (XLTRACE1 records or an

@@ -194,16 +194,7 @@ func run() int {
 		sess.Close() //nolint:errcheck // exiting on the earlier error
 		return 2
 	}
-	// No WriteTimeout on purpose: /v1/jobs/{id}/log streams for the life
-	// of a job, and long-poll waits legitimately hold a response open.
-	// Slow readers are bounded instead by IdleTimeout between requests,
-	// ReadHeaderTimeout on arrival, and the 1 MiB MaxBytesReader the
-	// handler applies to every POST body.
-	httpSrv := &http.Server{
-		Handler:           svc.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := service.NewHTTPServer(svc.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logf("serving on http://%s (POST /v1/jobs; /metrics, /status, /healthz)", ln.Addr())

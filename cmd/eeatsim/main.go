@@ -217,8 +217,9 @@ func printResult(out io.Writer, res xlate.Result, source string, auditOn bool) {
 	fmt.Fprintf(out, "  TLB-miss cycles      %12d  (%.2f%% of total)\n",
 		res.CyclesTLBMiss, 100*res.MissCycleFraction())
 	if hits := float64(res.L1Hits()); hits > 0 {
-		fmt.Fprintf(out, "  L1 hit attribution   4KB %.1f%%  2MB %.1f%%  range %.1f%%\n",
-			100*float64(res.Hits4K)/hits, 100*float64(res.Hits2M)/hits, 100*float64(res.HitsRange)/hits)
+		fmt.Fprintf(out, "  L1 hit attribution   4KB %.1f%%  2MB %.1f%%  1GB %.1f%%  range %.1f%%\n",
+			100*float64(res.Hits4K)/hits, 100*float64(res.Hits2M)/hits,
+			100*float64(res.Hits1G)/hits, 100*float64(res.HitsRange)/hits)
 	} else {
 		fmt.Fprintln(out, "  L1 hit attribution   no L1 TLB hits")
 	}
@@ -233,10 +234,11 @@ func printResult(out io.Writer, res xlate.Result, source string, auditOn bool) {
 		fmt.Fprintf(out, "    %-18s %10.1f µJ  (%5.1f%%)\n", a, pj/1e6, 100*pj/res.EnergyPJ())
 	}
 	if res.LiteLookupShare != nil {
-		fmt.Fprintln(out, "  Lite lookup shares (per monitored TLB, 1/2/4 ways):")
+		// The controller counts its actions over all monitored TLBs.
+		fmt.Fprintf(out, "  Lite lookup shares (per monitored TLB, 1/2/4 ways; %d resizes, %d reactivations in all):\n",
+			res.LiteResizes, res.LiteReactivations)
 		for i, sh := range res.LiteLookupShare {
-			fmt.Fprintf(out, "    TLB %d: 1w %.1f%%  2w %.1f%%  4w %.1f%%   (%d resizes, %d reactivations)\n",
-				i, 100*sh[0], 100*sh[1], 100*sh[2], res.LiteResizes, res.LiteReactivations)
+			fmt.Fprintf(out, "    TLB %d: 1w %.1f%%  2w %.1f%%  4w %.1f%%\n", i, 100*sh[0], 100*sh[1], 100*sh[2])
 		}
 	}
 	if res.IntervalL1MPKI.Len() > 0 {

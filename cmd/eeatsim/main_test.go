@@ -55,6 +55,36 @@ func TestPrintResultWithoutL1Hits(t *testing.T) {
 	}
 }
 
+// The report attributes L1 hits to every page size, 1 GB included, and
+// prints the Lite controller's run-wide action counts once, not on
+// each monitored TLB's row.
+func TestPrintResultSharesAndLiteCounts(t *testing.T) {
+	res := xlate.Result{
+		Instructions: 1000, MemRefs: 100,
+		Hits4K: 50, Hits2M: 25, Hits1G: 20, HitsRange: 5,
+		LiteLookupShare: [][]float64{{0, 0, 1}, {0, 0.5, 0.5}, {0.8, 0, 0.2}},
+		LiteResizes:     3, LiteReactivations: 1,
+	}
+	var buf bytes.Buffer
+	printResult(&buf, res, "mcf", false)
+	out := buf.String()
+	if !strings.Contains(out, "L1 hit attribution   4KB 50.0%  2MB 25.0%  1GB 20.0%  range 5.0%") {
+		t.Errorf("hit attribution does not give the 1 GB share or does not add up to 100%%:\n%s", out)
+	}
+	if n := strings.Count(out, "3 resizes, 1 reactivations"); n != 1 {
+		t.Errorf("Lite action counts printed %d times, want once:\n%s", n, out)
+	}
+	for _, row := range []string{
+		"    TLB 0: 1w 0.0%  2w 0.0%  4w 100.0%\n",
+		"    TLB 1: 1w 0.0%  2w 50.0%  4w 50.0%\n",
+		"    TLB 2: 1w 80.0%  2w 0.0%  4w 20.0%\n",
+	} {
+		if !strings.Contains(out, row) {
+			t.Errorf("report lacks the Lite row %q:\n%s", row, out)
+		}
+	}
+}
+
 func TestReportShowsScaledFootprint(t *testing.T) {
 	out, code := eeatsim(t, "-workload", "mcf", "-scale", "0.1", "-instrs", "1")
 	if code != 0 {

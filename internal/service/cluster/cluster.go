@@ -48,14 +48,20 @@ import (
 	"xlate/internal/tracec"
 )
 
+const (
+	// vnodes is the virtual-node count per worker on the ring.
+	vnodes = 64
+	// federationTimeout bounds each federated cache probe — the
+	// read-through GET /v1/results/{key} against a cell's ring owners.
+	// Probes are an optimization; a slow one must not stall dispatch.
+	federationTimeout = 2 * time.Second
+)
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// CellWorkers is the number of concurrent cell dispatches
 	// (default 8): the fan-out width across the worker fleet.
 	CellWorkers int
-	// VNodes is the virtual-node count per worker on the ring
-	// (default 64).
-	VNodes int
 	// HeartbeatTimeout declares a worker dead after this long without a
 	// heartbeat (default 5s; 0 disables the watchdog — dispatch
 	// failures still declare workers dead).
@@ -75,11 +81,6 @@ type Config struct {
 	// suite automatically (DESIGN.md §12). Replay needs no flag — the
 	// journal's presence is the signal.
 	Journal string
-	// FederationTimeout bounds each federated cache probe — the
-	// read-through GET /v1/results/{key} against a cell's ring owners
-	// (default 2s). Probes are an optimization; a slow one must not
-	// stall dispatch.
-	FederationTimeout time.Duration
 	// OnJournalAppend, when set, is called after every journaled cell
 	// with the journal's total cell count, outside all coordinator
 	// locks. The chaos soak uses it as a deterministic count trigger
@@ -111,14 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.CellWorkers <= 0 {
 		c.CellWorkers = 8
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.FederationTimeout <= 0 {
-		c.FederationTimeout = 2 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -193,7 +188,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		start:     time.Now(),
 		m:         newClusterMetrics(cfg.Registry),
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(vnodes),
 		workers:   make(map[string]*worker),
 		completed: make(map[string]core.Result),
 		watchStop: make(chan struct{}),

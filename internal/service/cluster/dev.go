@@ -27,13 +27,13 @@ import (
 // journal guarantees the re-run resumes instead of restarting.
 var ErrCoordinatorDown = errors.New("cluster: coordinator down")
 
-// DevConfig parameterizes StartDev.
+// workerExecutors is each dev worker daemon's job-executor count.
+const workerExecutors = 2
+
+// DevConfig parameterizes StartDev, and through SoakConfig RunSoak.
 type DevConfig struct {
 	// Workers is the number of in-process worker daemons (default 3).
 	Workers int
-	// WorkerExecutors is each worker daemon's job-executor count
-	// (default 2).
-	WorkerExecutors int
 	// CellWorkers is the coordinator's dispatch fan-out (default 8).
 	CellWorkers int
 	// HeartbeatTimeout / HeartbeatEvery tune the health protocol
@@ -49,8 +49,6 @@ type DevConfig struct {
 	// coordinator generation ("" disables, which also disables
 	// RestartCoordinator's resume guarantee).
 	Journal string
-	// OnJournalAppend is forwarded to every coordinator generation.
-	OnJournalAppend func(cells int)
 	// TraceDir, when set, enables the trace subsystem (DESIGN.md §15):
 	// the coordinator serves a segment store rooted at TraceDir/coord —
 	// ingestion plus content-hash fetch on the control plane — and each
@@ -89,6 +87,7 @@ type DevCluster struct {
 	workers         []*devWorker
 	newWorkerClient func(id, base string) *client.Client
 	coordTraces     *tracec.Executor // shared by every coordinator generation
+	onJournalAppend func(cells int)  // the killcoord trigger, nil without one
 
 	mu        sync.Mutex
 	coord     *Coordinator
@@ -119,9 +118,6 @@ type devWorker struct {
 func StartDev(ctx context.Context, cfg DevConfig) (*DevCluster, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
-	}
-	if cfg.WorkerExecutors <= 0 {
-		cfg.WorkerExecutors = 2
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 2 * time.Second
@@ -166,11 +162,8 @@ func StartDev(ctx context.Context, cfg DevConfig) (*DevCluster, error) {
 			killCoordAt = d.AtRPC
 		}
 	}
-	if userHook := cfg.OnJournalAppend; killCoordAt > 0 {
-		dev.cfg.OnJournalAppend = func(cells int) {
-			if userHook != nil {
-				userHook(cells)
-			}
+	if killCoordAt > 0 {
+		dev.onJournalAppend = func(cells int) {
 			if uint64(cells) >= killCoordAt && dev.coordKilled.CompareAndSwap(false, true) {
 				dev.cfg.Logf("chaos: journal reached %d cells; killing coordinator", cells)
 				go dev.KillCoordinator()
@@ -236,7 +229,7 @@ func (d *DevCluster) startCoordinator(ln net.Listener) error {
 		Retry:            d.cfg.Retry,
 		Options:          d.cfg.Options,
 		Journal:          d.cfg.Journal,
-		OnJournalAppend:  d.cfg.OnJournalAppend,
+		OnJournalAppend:  d.onJournalAppend,
 		Registry:         d.cfg.Registry,
 		Tracer:           d.cfg.Tracer,
 		Traces:           d.coordTraces,
@@ -247,11 +240,7 @@ func (d *DevCluster) startCoordinator(ln net.Listener) error {
 		ln.Close()
 		return err
 	}
-	srv := &http.Server{
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	srv := service.NewHTTPServer(coord.Handler())
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	// The generation context hangs off the cluster root: a killed
 	// coordinator cancels it with ErrCoordinatorDown, and a cancelled
@@ -269,7 +258,7 @@ func (d *DevCluster) startWorker(i int) (*devWorker, error) {
 	id := "w" + strconv.Itoa(i)
 	logf := func(f string, args ...any) { d.cfg.Logf(id+": "+f, args...) }
 	scfg := service.Config{
-		Workers:  d.cfg.WorkerExecutors,
+		Workers:  workerExecutors,
 		Registry: telemetry.NewRegistry(),
 		Logf:     logf,
 	}
@@ -294,11 +283,7 @@ func (d *DevCluster) startWorker(i int) (*devWorker, error) {
 		id:   id,
 		addr: "http://" + ln.Addr().String(),
 		svc:  svc,
-		srv: &http.Server{
-			Handler:           svc.Handler(),
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		},
+		srv:  service.NewHTTPServer(svc.Handler()),
 	}
 	go w.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 

@@ -216,7 +216,7 @@ func (c *Coordinator) federatedProbe(ctx context.Context, w *worker, key string,
 		c.spanRange(ct, probeStart, time.Now(), "federation_probe",
 			telemetry.KV{K: "worker", V: w.id}, telemetry.KV{K: "hit", V: ok})
 	}()
-	pctx, cancel := context.WithTimeout(ctx, c.cfg.FederationTimeout)
+	pctx, cancel := context.WithTimeout(ctx, federationTimeout)
 	defer cancel()
 	body, err := w.cl.Result(pctx, key)
 	if err != nil {

@@ -92,7 +92,7 @@ func (c *Coordinator) Handler() http.Handler {
 		// ingested here become "trace:<key>" workloads, and workers fetch
 		// dispatched trace-backed cells' segments from this store by
 		// content hash.
-		api := tracec.NewAPI(c.cfg.Traces.Store, tracec.APIConfig{Logf: c.cfg.Logf})
+		api := tracec.NewAPI(c.cfg.Traces.Store, c.cfg.Logf)
 		mux.Handle("/v1/traces", api)
 		mux.Handle("/v1/traces/", api)
 	}
@@ -143,7 +143,8 @@ type HeartbeatSender struct {
 	// attempts, 100ms doubling).
 	Retry client.Backoff
 	// HTTP is the control-plane client (default http.DefaultClient).
-	// The dev cluster injects its chaos transport here.
+	// Tests inject failing transports here; the dev cluster's chaos
+	// transports wrap the coordinator's worker clients instead.
 	HTTP *http.Client
 	// Logf receives protocol noise (nil = silent).
 	Logf func(format string, args ...any)

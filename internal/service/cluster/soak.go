@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"xlate/internal/exper"
-	"xlate/internal/service/client"
 	"xlate/internal/telemetry"
 )
 
@@ -23,43 +22,26 @@ var ErrSoakInvariant = errors.New("cluster: soak invariant violated")
 // through one coordinator while the chaos plan kills workers and the
 // coordinator itself.
 type SoakConfig struct {
-	// Workers is the dev-cluster worker count (default 3).
-	Workers int
+	// DevConfig is the cluster every suite runs through. Its Options
+	// are shared — the suites are intentionally identical, so the
+	// coordinator's cross-suite dedup and the no-double-execution
+	// invariant are both exercised — and a killcoord:N directive in its
+	// Chaos requires its Journal.
+	DevConfig
 	// Suites is the number of concurrent suites (default 2).
 	Suites int
-	// CellWorkers is the coordinator dispatch fan-out.
-	CellWorkers int
 	// Experiments is the suite every goroutine runs.
 	Experiments []exper.Experiment
-	// Options is the experiment configuration (shared — the suites are
-	// intentionally identical, so the coordinator's cross-suite dedup
-	// and the no-double-execution invariant are both exercised).
-	Options exper.Options
-	// Chaos is the fault plan; killcoord:N directives require Journal.
-	Chaos []Directive
 	// Golden, when non-nil, is the report every suite must match byte
 	// for byte. Nil compares every suite against suite 0 instead.
 	Golden []byte
-	// Journal is the coordinator crash journal path (required when the
-	// chaos plan kills the coordinator).
-	Journal string
-	// HeartbeatTimeout / HeartbeatEvery / Retry tune the cluster.
-	HeartbeatTimeout time.Duration
-	HeartbeatEvery   time.Duration
-	Retry            client.Backoff
-	// RestartDelay is how long the supervisor leaves the coordinator
-	// dead before restarting it (default 300ms) — long enough for
-	// workers to finish admitted cells, so the takeover has federated
-	// cache hits to harvest.
-	RestartDelay time.Duration
-	// Registry receives the metrics (nil = private).
-	Registry *telemetry.Registry
-	// Tracer, when set, records the distributed cell trace across every
-	// coordinator generation of the soak.
-	Tracer *telemetry.Tracer
-	// Logf receives soak progress (nil = silent).
-	Logf func(format string, args ...any)
 }
+
+// restartDelay is how long the soak supervisor leaves a killed
+// coordinator dead before restarting it — long enough for workers to
+// finish admitted cells, so the takeover has federated cache hits to
+// harvest.
+const restartDelay = 300 * time.Millisecond
 
 // SoakResult is the outcome of one soak run.
 type SoakResult struct {
@@ -87,26 +69,14 @@ type SoakResult struct {
 
 // RunSoak drives the chaos soak: start the dev cluster, run
 // cfg.Suites identical suites concurrently, let the chaos plan kill
-// processes (a killed coordinator is restarted after RestartDelay and
+// processes (a killed coordinator is restarted after restartDelay and
 // the suites re-run against the takeover, which resumes from the
 // journal), and verify at the end that every suite's report matched
 // the golden and that no cell was executed twice — the global
 // cells-executed counter equals the number of distinct cells.
 func RunSoak(ctx context.Context, cfg SoakConfig) (SoakResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
 	if cfg.Suites <= 0 {
 		cfg.Suites = 2
-	}
-	if cfg.RestartDelay <= 0 {
-		cfg.RestartDelay = 300 * time.Millisecond
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	for _, d := range cfg.Chaos {
 		if d.Kind == kindKillCoord && cfg.Journal == "" {
@@ -114,25 +84,15 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (SoakResult, error) {
 		}
 	}
 
-	dev, err := StartDev(ctx, DevConfig{
-		Workers:          cfg.Workers,
-		CellWorkers:      cfg.CellWorkers,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		HeartbeatEvery:   cfg.HeartbeatEvery,
-		Retry:            cfg.Retry,
-		Options:          cfg.Options,
-		Journal:          cfg.Journal,
-		Chaos:            cfg.Chaos,
-		Registry:         cfg.Registry,
-		Tracer:           cfg.Tracer,
-		Logf:             cfg.Logf,
-	})
+	dev, err := StartDev(ctx, cfg.DevConfig)
 	if err != nil {
 		return SoakResult{}, err
 	}
 	defer dev.Close()
+	// StartDev filled the registry and logger defaults.
+	cfg.DevConfig = dev.cfg
 
-	// The supervisor: a killed coordinator stays down for RestartDelay
+	// The supervisor: a killed coordinator stays down for restartDelay
 	// (workers finish their admitted cells into their caches), then the
 	// takeover generation starts and the suites resume against it.
 	supCtx, supCancel := context.WithCancel(ctx)
@@ -149,8 +109,8 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (SoakResult, error) {
 			if !dev.CoordinatorDown() {
 				continue
 			}
-			cfg.Logf("soak: coordinator down; restarting in %s", cfg.RestartDelay)
-			if sleepCtx(supCtx, cfg.RestartDelay) != nil {
+			cfg.Logf("soak: coordinator down; restarting in %s", restartDelay)
+			if sleepCtx(supCtx, restartDelay) != nil {
 				return
 			}
 			if err := dev.RestartCoordinator(supCtx); err != nil {

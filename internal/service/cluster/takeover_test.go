@@ -164,20 +164,22 @@ func TestChaosSoak(t *testing.T) {
 	reg := telemetry.NewRegistry()
 
 	res, err := RunSoak(context.Background(), SoakConfig{
-		Workers:     3,
+		DevConfig: DevConfig{
+			Workers: 3,
+			Options: testOptions(),
+			Retry:   fastRetry(),
+			Journal: filepath.Join(t.TempDir(), "coord.journal"),
+			Chaos: []Directive{
+				{Kind: "kill", Worker: 0, AtRPC: 10},
+				{Kind: kindKillCoord, Worker: coordinatorIndex, AtRPC: 12},
+			},
+			HeartbeatTimeout: 500 * time.Millisecond,
+			Registry:         reg,
+			Logf:             t.Logf,
+		},
 		Suites:      3,
 		Experiments: []exper.Experiment{fig2(t)},
-		Options:     testOptions(),
-		Retry:       fastRetry(),
-		Journal:     filepath.Join(t.TempDir(), "coord.journal"),
-		Chaos: []Directive{
-			{Kind: "kill", Worker: 0, AtRPC: 10},
-			{Kind: kindKillCoord, Worker: coordinatorIndex, AtRPC: 12},
-		},
-		Golden:           []byte(want),
-		HeartbeatTimeout: 500 * time.Millisecond,
-		Registry:         reg,
-		Logf:             t.Logf,
+		Golden:      []byte(want),
 	})
 	if err != nil {
 		t.Fatal(err)

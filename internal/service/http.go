@@ -17,6 +17,21 @@ import (
 // handler goroutine forever.
 const maxWait = 10 * time.Minute
 
+// NewHTTPServer wraps h in the http.Server every eeatd listener uses:
+// the service daemon, a worker, and the cluster coordinator. There is
+// no WriteTimeout on purpose: /v1/jobs/{id}/log streams for the life
+// of a job, and long-poll waits legitimately hold a response open.
+// Slow readers are bounded instead by IdleTimeout between requests,
+// ReadHeaderTimeout on arrival, and the MaxBytesReader each handler
+// applies to its POST bodies.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // routes builds the daemon mux. The telemetry endpoints (/metrics,
 // /status) are mounted on the same mux — one listener serves the job
 // API and the observability surface, and both drain together.
@@ -32,10 +47,7 @@ func (s *Server) routes() *http.ServeMux {
 		// Trace ingestion + content-hash fetch (DESIGN.md §15). Mounted
 		// only when a segment store exists — without one the endpoints
 		// would accept streams they cannot replay.
-		api := tracec.NewAPI(s.cfg.TraceStore, tracec.APIConfig{
-			MaxBytes: s.cfg.MaxTraceBytes,
-			Logf:     s.cfg.Logf,
-		})
+		api := tracec.NewAPI(s.cfg.TraceStore, s.cfg.Logf)
 		mux.Handle("/v1/traces", api)
 		mux.Handle("/v1/traces/", api)
 	}

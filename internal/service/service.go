@@ -84,8 +84,6 @@ type Config struct {
 	// cluster coordinator) missing segments are fetched from by content
 	// hash, verified before use.
 	TraceUpstream string
-	// MaxTraceBytes bounds one ingested segment (default 64 MiB → 413).
-	MaxTraceBytes int64
 	// Logf receives daemon-level log lines (nil = silent).
 	Logf func(format string, args ...any)
 }

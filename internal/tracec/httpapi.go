@@ -14,10 +14,14 @@ import (
 	"xlate/internal/trace"
 )
 
-// maxSegmentBytes is the default bound on one ingested segment
+// maxSegmentBytes bounds one ingested or fetched segment
 // (decompressed): 64 MiB holds roughly 20–30 M references, far past
-// the budgets the experiments run at.
+// the budgets the experiments run at. Larger uploads get 413.
 const maxSegmentBytes = 64 << 20
+
+// maxPendingIngests caps concurrent ingest decodes. Excess uploads get
+// 429 with Retry-After, mirroring the job queue's admission control.
+const maxPendingIngests = 2
 
 // ErrBadTrace is wrapped by ingestion validation failures that are the
 // client's fault: unknown magic, malformed records, zero-instruction
@@ -45,7 +49,8 @@ type TraceInfo struct {
 //	POST /v1/traces        ingest a reference stream (XLTRACE1 records
 //	                       or a pre-compiled XLSEGv1 segment; chunked
 //	                       bodies and Content-Encoding: gzip accepted;
-//	                       413 past MaxBytes, 429 past MaxPending)
+//	                       413 past 64 MiB, 429 past 2 concurrent
+//	                       ingests)
 //	GET  /v1/traces/{key}  fetch a segment by content hash
 //	                       (application/octet-stream, immutable ETag)
 //
@@ -59,35 +64,17 @@ type API struct {
 	logf     func(string, ...any)
 }
 
-// APIConfig bounds the ingestion endpoint.
-type APIConfig struct {
-	// MaxBytes caps one decompressed segment (default 64 MiB). Larger
-	// uploads get 413.
-	MaxBytes int64
-	// MaxPending caps concurrent ingest decodes (default 2). Excess
-	// uploads get 429 with Retry-After, mirroring the job queue's
-	// admission control.
-	MaxPending int
-	// Logf receives ingest lines (nil = silent).
-	Logf func(string, ...any)
-}
-
-// NewAPI builds the handler over store.
-func NewAPI(store *Store, cfg APIConfig) *API {
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = maxSegmentBytes
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 2
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+// NewAPI builds the handler over store; logf receives ingest lines
+// (nil = silent).
+func NewAPI(store *Store, logf func(string, ...any)) *API {
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
 	return &API{
 		store:    store,
-		maxBytes: cfg.MaxBytes,
-		pending:  make(chan struct{}, cfg.MaxPending),
-		logf:     cfg.Logf,
+		maxBytes: maxSegmentBytes,
+		pending:  make(chan struct{}, maxPendingIngests),
+		logf:     logf,
 	}
 }
 

@@ -378,7 +378,7 @@ func TestIngestHTTPMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewAPI(store, APIConfig{})
+	api := NewAPI(store, nil)
 	data := denseTrace(4 << 20)
 	req := httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(data))
 	rec := httptest.NewRecorder()
@@ -435,7 +435,7 @@ func TestAPIIngestAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewAPI(store, APIConfig{})
+	api := NewAPI(store, nil)
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 
@@ -516,7 +516,8 @@ func TestAPIRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewAPI(store, APIConfig{MaxBytes: 512})
+	api := NewAPI(store, nil)
+	api.maxBytes = 512
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 
@@ -720,7 +721,7 @@ func TestExecutorIngestedReplay(t *testing.T) {
 	// A second node with an empty store fetches the segment from the
 	// first node's API by content hash — the cluster dispatch path —
 	// and lands on the identical Result.
-	coord := httptest.NewServer(NewAPI(local, APIConfig{}))
+	coord := httptest.NewServer(NewAPI(local, nil))
 	defer coord.Close()
 	remoteStore, err := OpenStore(t.TempDir(), 0, 0)
 	if err != nil {
