@@ -111,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSegmentDecode -fuzztime=10s ./internal/tracec
 	$(GO) test -fuzz=FuzzIngest -fuzztime=10s ./internal/tracec
 	$(GO) test -fuzz=FuzzSimulateTrace -fuzztime=10s ./internal/tracec
+	$(GO) test -fuzz=FuzzSubmit -fuzztime=10s ./internal/service
 
 # Observability run (DESIGN.md §8): a reduced-scale experiment with
 # tracing, progress, and the status endpoint enabled must render

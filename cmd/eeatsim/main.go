@@ -27,7 +27,6 @@ import (
 	"xlate"
 	"xlate/internal/core"
 	"xlate/internal/energy"
-	"xlate/internal/exper"
 	"xlate/internal/obsflags"
 	"xlate/internal/service"
 	"xlate/internal/service/client"
@@ -163,35 +162,33 @@ func run(ctx context.Context, out *os.File) error {
 	p.Fault = fault
 	p.Metrics = core.NewMetrics(sess.Registry)
 	p.Trace = sess.Tracer
-	var res xlate.Result
+	var (
+		res  xlate.Result
+		refs []xlate.Ref
+	)
 	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			return err
+		f, ferr := os.Open(*replay)
+		if ferr != nil {
+			return ferr
 		}
-		refs, err := xlate.ReadTrace(f)
+		refs, err = xlate.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		if res, err = xlate.ReplayTrace(refs, p, *instrs, xlate.RunOptions{Seed: *seed}); err != nil {
-			if errors.Is(err, xlate.ErrInvalidParams) {
-				err = fmt.Errorf("%w: %w", err, obsflags.ErrUsage)
-			}
-			return err
-		}
-		fmt.Fprintf(out, "replayed %d-reference trace (%d demand faults)\n", len(refs), res.PageFaults)
+		res, err = xlate.ReplayTrace(refs, p, *instrs, xlate.RunOptions{Seed: *seed})
 	} else {
-		if *seed == 0 {
-			*seed = 42 // the library's default seed
+		res, err = xlate.RunParamsContext(ctx, w, p, *instrs, xlate.RunOptions{Seed: *seed, Scale: *scale})
+	}
+	if err != nil {
+		// A cell the library refuses before simulating is a usage error.
+		if errors.Is(err, xlate.ErrInvalidParams) || errors.Is(err, xlate.ErrInvalidWorkload) {
+			err = fmt.Errorf("%w: %w", err, obsflags.ErrUsage)
 		}
-		res, err = exper.ExecuteJobContext(ctx, exper.Job{
-			Spec: w, Params: p, Policy: core.PolicyFor(kind, 0.5),
-			Instrs: *instrs, Scale: *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
+		return err
+	}
+	if *replay != "" {
+		fmt.Fprintf(out, "replayed %d-reference trace (%d demand faults)\n", len(refs), res.PageFaults)
 	}
 
 	footprint := w.FootprintBytes()

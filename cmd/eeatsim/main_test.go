@@ -124,3 +124,15 @@ func TestReplayZeroInstructionTraceIsUsageError(t *testing.T) {
 		t.Errorf("eeatsim -replay of a zero-instruction trace: exit %d, want 2\n%s", code, out)
 	}
 }
+
+// A series interval that would collect more points than the library
+// admits is refused with exit 2 before anything is simulated.
+func TestSeriesAboveBoundIsUsageError(t *testing.T) {
+	out, code := eeatsim(t, "-workload", "mcf", "-config", "THP", "-instrs", "2000000", "-scale", "0.1", "-interval", "1")
+	if code != 2 {
+		t.Errorf("eeatsim -interval 1 over 2 M instructions: exit %d, want 2\n%s", code, out)
+	}
+	if out != "" {
+		t.Errorf("eeatsim printed a report for a refused cell:\n%s", out)
+	}
+}

@@ -317,6 +317,21 @@ func (p Params) Validate() error {
 	return err
 }
 
+// maxStructureEntries bounds the entries of every translation
+// structure, so a parameter set from the wire cannot make NewSimulator
+// allocate without limit. It is 128× the largest structure of Table 1,
+// the 512-entry L2 TLB.
+const maxStructureEntries = 1 << 16
+
+// structure is one translation structure's geometry as resolve checks
+// it. A fully associative structure has as many ways as entries.
+type structure struct {
+	name          string
+	entries, ways int
+	built         bool // the configuration builds it
+	pow2Ways      bool // Lite monitors it
+}
+
 // resolve validates p and resolves its energy costs; NewSimulator builds
 // the hierarchy from the result.
 func (p Params) resolve() (energyCosts, error) {
@@ -324,26 +339,36 @@ func (p Params) resolve() (energyCosts, error) {
 	if !ok {
 		return energyCosts{}, fmt.Errorf("core: %w: invalid config kind %d", ErrInvalidParams, int(p.Kind))
 	}
-	for _, sp := range c.l1Specs(p) {
-		if sp.entries <= 0 || sp.ways <= 0 || sp.entries%sp.ways != 0 {
-			return energyCosts{}, fmt.Errorf("core: %w: bad %s geometry %d/%d", ErrInvalidParams, sp.name, sp.entries, sp.ways)
+	// Every structure's entries are bounded, built or not, before any
+	// cost slice is sized by its ways.
+	for _, s := range []structure{
+		{energy.L14KB, p.L14KEntries, p.L14KWays, true, c.lite},
+		{energy.L12MB, p.L12MEntries, p.L12MWays, c.l1 == l1Split, c.lite},
+		{energy.L2Page, p.L2Entries, p.L2Ways, true, false},
+		{energy.L1Range, p.L1RangeEntries, p.L1RangeEntries, c.l1Range, false},
+		{energy.L2Range, p.L2RangeEntries, p.L2RangeEntries, c.l2Range, false},
+		{mmucache.NamePDE, p.MMU.PDEEntries, p.MMU.PDEWays, true, false},
+		{mmucache.NamePDPTE, p.MMU.PDPTEEntries, p.MMU.PDPTEEntries, true, false},
+		{mmucache.NamePML4, p.MMU.PML4Entries, p.MMU.PML4Entries, true, false},
+		{"page-size predictor", p.PredictorEntries, 1, c.predictor, false},
+	} {
+		if s.entries > maxStructureEntries {
+			return energyCosts{}, fmt.Errorf("core: %w: %s has %d entries, above the %d-entry bound",
+				ErrInvalidParams, s.name, s.entries, maxStructureEntries)
+		}
+		if !s.built {
+			continue
+		}
+		if s.entries <= 0 || s.ways <= 0 || s.entries%s.ways != 0 {
+			return energyCosts{}, fmt.Errorf("core: %w: bad %s geometry %d/%d", ErrInvalidParams, s.name, s.entries, s.ways)
 		}
 		// Lite's LRU-distance monitors bucket ways in powers of two
 		// (Figure 6); non-power-of-two associativity would panic deep in
 		// internal/lite at controller construction.
-		if c.lite && sp.ways&(sp.ways-1) != 0 {
+		if s.pow2Ways && s.ways&(s.ways-1) != 0 {
 			return energyCosts{}, fmt.Errorf("core: %w: Lite requires power-of-two %s associativity, got %d",
-				ErrInvalidParams, sp.name, sp.ways)
+				ErrInvalidParams, s.name, s.ways)
 		}
-	}
-	if p.L2Entries <= 0 || p.L2Ways <= 0 || p.L2Entries%p.L2Ways != 0 {
-		return energyCosts{}, fmt.Errorf("core: %w: bad L2 geometry %d/%d", ErrInvalidParams, p.L2Entries, p.L2Ways)
-	}
-	if c.l2Range && p.L2RangeEntries <= 0 {
-		return energyCosts{}, fmt.Errorf("core: %w: bad L2-range capacity %d", ErrInvalidParams, p.L2RangeEntries)
-	}
-	if c.l1Range && p.L1RangeEntries <= 0 {
-		return energyCosts{}, fmt.Errorf("core: %w: bad L1-range capacity %d", ErrInvalidParams, p.L1RangeEntries)
 	}
 	if p.WalkL1HitRatio < 0 || p.WalkL1HitRatio > 1 {
 		return energyCosts{}, fmt.Errorf("core: %w: walk L1 hit ratio %v outside [0,1]", ErrInvalidParams, p.WalkL1HitRatio)
@@ -354,17 +379,14 @@ func (p Params) resolve() (energyCosts, error) {
 	if p.EnergyDB == nil {
 		return energyCosts{}, fmt.Errorf("core: %w: nil energy database", ErrInvalidParams)
 	}
-	if err := p.MMU.Validate(); err != nil {
-		return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
-	}
 	if c.lite {
 		if err := p.Lite.Validate(); err != nil {
 			return energyCosts{}, fmt.Errorf("core: %w: %v", ErrInvalidParams, err)
 		}
 	}
 	if c.predictor {
-		if p.PredictorEntries <= 0 || p.PredictorEntries&(p.PredictorEntries-1) != 0 {
-			return energyCosts{}, fmt.Errorf("core: %w: predictor entries %d must be a positive power of two", ErrInvalidParams, p.PredictorEntries)
+		if p.PredictorEntries&(p.PredictorEntries-1) != 0 {
+			return energyCosts{}, fmt.Errorf("core: %w: predictor entries %d must be a power of two", ErrInvalidParams, p.PredictorEntries)
 		}
 		if p.MispredictPenaltyCycles < 0 {
 			return energyCosts{}, fmt.Errorf("core: %w: negative mispredict penalty", ErrInvalidParams)

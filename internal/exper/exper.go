@@ -6,6 +6,7 @@
 package exper
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -67,6 +68,64 @@ type Job struct {
 	Instrs uint64
 	Scale  float64
 	Seed   int64
+}
+
+// NewJob is the cell that simulates spec with p at opt's budget, scale
+// and seed (defaults filled in), on the address space spec builds under
+// the OS policy of p's configuration with THP at half the achievable
+// coverage.
+func NewJob(spec workloads.Spec, p core.Params, opt Options) Job {
+	opt = opt.WithDefaults()
+	return Job{Spec: spec, Params: p, Policy: core.PolicyFor(p.Kind, 0.5), Instrs: opt.Instrs, Scale: opt.Scale, Seed: opt.Seed}
+}
+
+// Bounds on one cell, so that no cell can make the process allocate
+// without limit. Each admits every cell the suite plans at the largest
+// scale: mcf's 1.66 GiB footprint models about 106 GiB at scale 64, and
+// the interval experiments collect max(16, Instrs/1 M) points per
+// series. Every structure's entries are bounded by core.Params.Validate.
+const (
+	maxScale          = 64
+	maxFootprintBytes = 128 << 30
+	maxSeriesPoints   = 1 << 20
+)
+
+// Check validates the cell before anything is built for it: its
+// parameters, its scale, its modelled footprint at that scale, and the
+// points each of its three series would collect. Every failure wraps
+// core.ErrInvalidParams or workloads.ErrInvalidSpec.
+func (j Job) Check() error {
+	if err := j.Params.Validate(); err != nil {
+		return err
+	}
+	if err := (Options{Scale: j.Scale}).Check(); err != nil {
+		return err
+	}
+	scale := cmp.Or(j.Scale, 1)
+	// Summed in float64 so that hostile region sizes cannot wrap
+	// around to a small total.
+	var footprint float64
+	for _, r := range j.Spec.Regions {
+		footprint += float64(r.Bytes)
+	}
+	if footprint*scale > maxFootprintBytes {
+		return fmt.Errorf("exper: %w: %s footprint %.0f bytes at scale %g exceeds the %d-byte bound",
+			workloads.ErrInvalidSpec, j.Spec.Name, footprint*scale, scale, maxFootprintBytes)
+	}
+	if iv := j.Params.SeriesIntervalInstrs; iv > 0 && j.Instrs/iv > maxSeriesPoints {
+		return fmt.Errorf("exper: %w: interval %d over %d instrs collects %d points per series, above the %d-point bound",
+			core.ErrInvalidParams, iv, j.Instrs, j.Instrs/iv, maxSeriesPoints)
+	}
+	return nil
+}
+
+// Check refuses a scale outside (0, 64]; 0 means 1, as
+// workloads.BuildOptions says.
+func (o Options) Check() error {
+	if !(o.Scale >= 0 && o.Scale <= maxScale) {
+		return fmt.Errorf("exper: %w: scale %g out of range (0, %d]", workloads.ErrInvalidSpec, o.Scale, maxScale)
+	}
+	return nil
 }
 
 // Runner executes simulation cells on behalf of the experiments.
@@ -139,13 +198,18 @@ func IDs() []string {
 	return out
 }
 
-// ExecuteJobContext builds and simulates one cell on the address space
-// its spec builds, honouring context cancellation between simulation
-// strides. The cell reads the shared stream of the Seat in ctx when it
-// can join it, else its own generator. Like RunDemand, a failed run
-// returns its error with the partial Result.
+// ExecuteJobContext checks one cell (Job.Check), then builds and
+// simulates it on the address space its spec builds, honouring context
+// cancellation between simulation strides. The cell reads the shared
+// stream of the Seat in ctx when it can join it, else its own
+// generator; a refused or unbuildable cell releases its seat. Like
+// RunDemand, a failed run returns its error with the partial Result.
 func ExecuteJobContext(ctx context.Context, j Job) (core.Result, error) {
 	seat := seatOf(ctx)
+	if err := j.Check(); err != nil {
+		seat.Release()
+		return core.Result{}, err
+	}
 	as, regions, err := j.Spec.Map(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		seat.Release()
@@ -161,15 +225,19 @@ func ExecuteJobContext(ctx context.Context, j Job) (core.Result, error) {
 	return simulate(ctx, j, as, src)
 }
 
-// RunDemand simulates j over src on a demand-paged address space of
-// physBytes (0 = 64 GiB): pages materialize on first touch, so a
-// recorded or ingested stream needs no model behind its addresses. The
-// caller checks the stream's pacing (trace.CheckReplayable).
+// RunDemand checks j (Job.Check) and simulates it over src on a
+// demand-paged address space of physBytes (0 = 64 GiB): pages
+// materialize on first touch, so a recorded or ingested stream needs no
+// model behind its addresses. The caller checks the stream's pacing
+// (trace.CheckReplayable).
 func RunDemand(ctx context.Context, j Job, src trace.RefSource, physBytes uint64) (core.Result, error) {
 	if physBytes == 0 {
 		physBytes = 64 << 30
 	}
 	j.Params.DemandPaging = true
+	if err := j.Check(); err != nil {
+		return core.Result{}, err
+	}
 	return simulate(ctx, j, vm.New(vm.Config{Policy: j.Policy, Seed: j.Seed, PhysBytes: physBytes}), src)
 }
 
@@ -211,15 +279,7 @@ func runJob(j Job, opt Options) (core.Result, error) {
 // runOne builds the workload under the policy matching the configuration
 // and simulates it with the given parameters.
 func runOne(spec workloads.Spec, p core.Params, opt Options) (core.Result, error) {
-	opt = opt.WithDefaults()
-	return runJob(Job{
-		Spec:   spec,
-		Params: p,
-		Policy: core.PolicyFor(p.Kind, 0.5),
-		Instrs: opt.Instrs,
-		Scale:  opt.Scale,
-		Seed:   opt.Seed,
-	}, opt)
+	return runJob(NewJob(spec, p, opt), opt)
 }
 
 // runConfig is runOne with default parameters for the kind.

@@ -1,9 +1,15 @@
 package exper
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"xlate/internal/core"
+	"xlate/internal/trace"
+	"xlate/internal/workloads"
 )
 
 // fastOpt keeps experiment tests quick: scaled-down footprints and short
@@ -224,4 +230,46 @@ func sscan(s string, v *float64) (int, error) {
 	n, err := fmt.Sscanf(s, "%f", &f)
 	*v = f
 	return n, err
+}
+
+// Job.Check refuses each cell bound with the sentinel of the layer that
+// owns the quantity, and ExecuteJobContext and RunDemand refuse the
+// same cells before building anything.
+func TestJobCheckBounds(t *testing.T) {
+	spec, ok := workloads.ByName("omnetpp")
+	if !ok {
+		t.Fatal("no omnetpp workload")
+	}
+	base := NewJob(spec, core.DefaultParams(core.CfgTHP), Options{Instrs: 2_000_000, Scale: 0.1})
+	if err := base.Check(); err != nil {
+		t.Fatalf("base cell refused: %v", err)
+	}
+	cases := []struct {
+		name string
+		edit func(j *Job)
+		want error
+		text string
+	}{
+		{"entries", func(j *Job) { j.Params.MMU.PDPTEEntries = 1 << 17 }, core.ErrInvalidParams, "65536-entry bound"},
+		{"scale", func(j *Job) { j.Scale = 64.5 }, workloads.ErrInvalidSpec, "out of range (0, 64]"},
+		{"negative scale", func(j *Job) { j.Scale = -1 }, workloads.ErrInvalidSpec, "out of range (0, 64]"},
+		{"footprint", func(j *Job) { j.Scale = 0; j.Spec.Regions = []workloads.RegionSpec{{Bytes: 129 << 30}} }, workloads.ErrInvalidSpec, "137438953472-byte bound"},
+		{"series", func(j *Job) { j.Params.SeriesIntervalInstrs = 1 }, core.ErrInvalidParams, "1048576-point bound"},
+	}
+	for _, tc := range cases {
+		j := base
+		tc.edit(&j)
+		for name, run := range map[string]func() error{
+			"Check":             j.Check,
+			"ExecuteJobContext": func() error { _, err := ExecuteJobContext(context.Background(), j); return err },
+			"RunDemand": func() error {
+				_, err := RunDemand(context.Background(), j, trace.NewReplay([]trace.Ref{{VA: 1 << 30, Instrs: 1}}), 0)
+				return err
+			},
+		} {
+			if err := run(); !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.text) {
+				t.Errorf("%s: %s = %v, want %v naming %q", tc.name, name, err, tc.want, tc.text)
+			}
+		}
+	}
 }

@@ -26,6 +26,20 @@ func sensWorkloads() []workloads.Spec {
 	return out
 }
 
+// thpBaselines runs each spec under THP, the baseline every sweep
+// reports its savings against.
+func thpBaselines(specs []workloads.Spec, opt Options) ([]core.Result, error) {
+	thp := make([]core.Result, len(specs))
+	for i, s := range specs {
+		r, err := runConfig(s, core.CfgTHP, opt)
+		if err != nil {
+			return nil, err
+		}
+		thp[i] = r
+	}
+	return thp, nil
+}
+
 // sensInterval reproduces the §6.2 sweep: interval size 1 M–10 M
 // instructions × random reactivation probability 1/8–1/128, reporting
 // TLB_Lite energy savings vs THP and the miss-cycle cost.
@@ -35,13 +49,9 @@ func sensInterval(opt Options) ([]*stats.Table, error) {
 	t := stats.NewTable("§6.2 — Lite interval × reactivation-probability sweep (TLB_Lite, mean over phased workloads)",
 		"Interval (instr)", "Prob", "Energy saved vs THP", "Miss cycles vs THP")
 	specs := sensWorkloads()
-	thp := make([]core.Result, len(specs))
-	for i, s := range specs {
-		r, err := runConfig(s, core.CfgTHP, opt)
-		if err != nil {
-			return nil, err
-		}
-		thp[i] = r
+	thp, err := thpBaselines(specs, opt)
+	if err != nil {
+		return nil, err
 	}
 	for _, iv := range intervals {
 		for _, pr := range probs {
@@ -74,13 +84,9 @@ func sensThreshold(opt Options) ([]*stats.Table, error) {
 
 	tRel := stats.NewTable("ε sweep — TLB_Lite (relative threshold), mean over workloads",
 		"ε", "Energy saved vs THP", "L1 MPKI", "Miss cycles vs THP")
-	thp := make([]core.Result, len(specs))
-	for i, s := range specs {
-		r, err := runConfig(s, core.CfgTHP, opt)
-		if err != nil {
-			return nil, err
-		}
-		thp[i] = r
+	thp, err := thpBaselines(specs, opt)
+	if err != nil {
+		return nil, err
 	}
 	for _, e := range rel {
 		var sav, mpki, cyc []float64
@@ -129,13 +135,9 @@ func sensL1Range(opt Options) ([]*stats.Table, error) {
 	t := stats.NewTable("L1-range TLB size sweep (RMM_Lite, mean over TLB-intensive set)",
 		"Entries", "Read energy (pJ)", "Energy saved vs THP", "Range share of L1 hits", "L1 MPKI")
 	specs := workloads.TLBIntensive()
-	thp := make([]core.Result, len(specs))
-	for i, s := range specs {
-		r, err := runConfig(s, core.CfgTHP, opt)
-		if err != nil {
-			return nil, err
-		}
-		thp[i] = r
+	thp, err := thpBaselines(specs, opt)
+	if err != nil {
+		return nil, err
 	}
 	anchorGeom := cactimodel.RangeTLBGeometry(4)
 	for _, n := range sizes {
@@ -174,13 +176,9 @@ func sensL1Range(opt Options) ([]*stats.Table, error) {
 // single fully associative L1 TLB as if there were ways.
 func ablLite(opt Options) ([]*stats.Table, error) {
 	specs := sensWorkloads()
-	thp := make([]core.Result, len(specs))
-	for i, s := range specs {
-		r, err := runConfig(s, core.CfgTHP, opt)
-		if err != nil {
-			return nil, err
-		}
-		thp[i] = r
+	thp, err := thpBaselines(specs, opt)
+	if err != nil {
+		return nil, err
 	}
 	variants := []struct {
 		name string
@@ -226,36 +224,22 @@ func ablLite(opt Options) ([]*stats.Table, error) {
 		db.Register(energy.L14KB, w, cost)
 	}
 	for _, s := range specs {
-		mk := func(withLite bool) (core.Result, error) {
-			kind := core.Cfg4KB
-			if withLite {
-				kind = core.CfgTLBLite
-			}
+		mk := func(kind core.ConfigKind) (core.Result, error) {
 			p := core.DefaultParams(kind)
-			p.Kind = kind
 			p.L14KEntries, p.L14KWays = 64, 64
 			p.L12MEntries, p.L12MWays = 32, 4
 			p.EnergyDB = db
-			if withLite {
-				// FA Lite on 4KB pages only: run the TLB_Lite machinery
-				// over a 4KB-page address space by zeroing THP coverage.
-				o := opt.WithDefaults()
-				return runJob(Job{
-					Spec:   s,
-					Params: p,
-					Policy: core.PolicyFor(core.Cfg4KB, 0),
-					Instrs: o.Instrs,
-					Scale:  o.Scale,
-					Seed:   o.Seed,
-				}, o)
-			}
-			return runOne(s, p, opt)
+			// FA Lite on 4KB pages only: TLB_Lite runs over the 4KB
+			// configuration's address space (zero THP coverage).
+			j := NewJob(s, p, opt)
+			j.Policy = core.PolicyFor(core.Cfg4KB, 0)
+			return runJob(j, opt)
 		}
-		fixed, err := mk(false)
+		fixed, err := mk(core.Cfg4KB)
 		if err != nil {
 			return nil, err
 		}
-		adaptive, err := mk(true)
+		adaptive, err := mk(core.CfgTLBLite)
 		if err != nil {
 			return nil, err
 		}

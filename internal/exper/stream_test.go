@@ -208,6 +208,23 @@ func TestSeatJoinRefusals(t *testing.T) {
 	}
 }
 
+// A member that Job.Check refuses gives its seat up, as one whose
+// address space fails to build does, so the stream stops holding its
+// first block for it.
+func TestRefusedMemberReleasesSeat(t *testing.T) {
+	j := sharedJobs()[0]
+	seats := SharedStream(StreamKey(j), 2)
+	refused := j
+	refused.Scale = maxScale + 1
+	if _, err := ExecuteJobContext(WithSeat(context.Background(), seats[0]), refused); !errors.Is(err, workloads.ErrInvalidSpec) {
+		t.Fatalf("ExecuteJobContext = %v, want workloads.ErrInvalidSpec", err)
+	}
+	if n := seats[0].h.pending; n != 1 {
+		t.Errorf("%d seats pending after the refusal, want 1", n)
+	}
+	seats[1].Release()
+}
+
 // TestSharedStreamReaderCancelledWhileWaiting ends a reader's stream
 // when its context ends while it waits a full ring ahead of a member
 // that has not joined.

@@ -18,8 +18,6 @@
 package mmucache
 
 import (
-	"fmt"
-
 	"xlate/internal/addr"
 	"xlate/internal/tlb"
 )
@@ -44,21 +42,6 @@ func DefaultConfig() Config {
 	return Config{PDEEntries: 32, PDEWays: 2, PDPTEEntries: 4, PML4Entries: 2}
 }
 
-// Validate checks the geometry, returning an error describing the first
-// inconsistency instead of panicking at construction.
-func (cfg Config) Validate() error {
-	if cfg.PDEEntries <= 0 || cfg.PDEWays <= 0 || cfg.PDEEntries%cfg.PDEWays != 0 {
-		return fmt.Errorf("mmucache: bad PDE geometry %d/%d", cfg.PDEEntries, cfg.PDEWays)
-	}
-	if cfg.PDPTEEntries <= 0 {
-		return fmt.Errorf("mmucache: bad PDPTE capacity %d", cfg.PDPTEEntries)
-	}
-	if cfg.PML4Entries <= 0 {
-		return fmt.Errorf("mmucache: bad PML4 capacity %d", cfg.PML4Entries)
-	}
-	return nil
-}
-
 // Cache is one core's set of paging-structure caches.
 type Cache struct {
 	pde   *tlb.SetAssoc
@@ -66,7 +49,8 @@ type Cache struct {
 	pml4  *tlb.SetAssoc
 }
 
-// New constructs the paging-structure caches with the given geometry.
+// New constructs the paging-structure caches with the given geometry,
+// which core.Params.Validate checks.
 func New(cfg Config) *Cache {
 	return &Cache{
 		pde:   tlb.NewSetAssoc(NamePDE, cfg.PDEEntries, cfg.PDEWays),

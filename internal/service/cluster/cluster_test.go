@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -96,6 +98,46 @@ func TestDevClusterByteIdentity(t *testing.T) {
 	}
 	if got := metric(t, reg, "xlate_cluster_workers_dead_total"); got != 0 {
 		t.Errorf("%d workers died in a chaos-free run", got)
+	}
+}
+
+// A clean run tears down quietly: Close severs the workers without the
+// chaos injector's kill line, and their daemons, idle by then, log no
+// cancelled drain.
+func TestDevClusterCloseIsQuiet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second cluster run")
+	}
+	var (
+		mu  sync.Mutex
+		log strings.Builder
+	)
+	dev, err := StartDev(context.Background(), DevConfig{
+		Workers: 2,
+		Options: exper.Options{Instrs: 50_000, Scale: 0.05, Seed: 7},
+		Retry:   fastRetry(),
+		Logf: func(f string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&log, f+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	_, err = dev.Run(ctx, []exper.Experiment{fig2(t)})
+	dev.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range []string{"chaos: killing worker", "drain deadline reached"} {
+		if strings.Contains(log.String(), line) {
+			t.Errorf("a clean run's log says %q:\n%s", line, log.String())
+		}
 	}
 }
 

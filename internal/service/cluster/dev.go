@@ -311,14 +311,24 @@ func (d *DevCluster) startWorker(i int) (*devWorker, error) {
 // closes (in-flight connections are severed, like a dead process), and
 // the worker's service shuts down. Idempotent.
 func (d *DevCluster) KillWorker(i int) {
-	if i < 0 || i >= len(d.workers) {
-		return
+	if w := d.claimWorker(i); w != nil {
+		d.cfg.Logf("chaos: killing worker %s", w.id)
+		w.sever()
 	}
-	w := d.workers[i]
-	if !w.killed.CompareAndSwap(false, true) {
-		return
+}
+
+// claimWorker marks worker i down and returns it, or nil when there is
+// no such worker or it is down already.
+func (d *DevCluster) claimWorker(i int) *devWorker {
+	if i < 0 || i >= len(d.workers) || !d.workers[i].killed.CompareAndSwap(false, true) {
+		return nil
 	}
-	d.cfg.Logf("chaos: killing worker %s", w.id)
+	return d.workers[i]
+}
+
+// sever stops w's heartbeats, closes its listener (severing in-flight
+// connections) and shuts its service down.
+func (w *devWorker) sever() {
 	w.hbCancel(ErrCrashed)
 	w.srv.Close() //nolint:errcheck // severing connections is the point
 	w.svc.Close()
@@ -330,11 +340,8 @@ func (d *DevCluster) KillWorker(i int) {
 // of in-flight cells, then the listener closes. Idempotent with
 // KillWorker.
 func (d *DevCluster) StopWorker(ctx context.Context, i int) error {
-	if i < 0 || i >= len(d.workers) {
-		return nil
-	}
-	w := d.workers[i]
-	if !w.killed.CompareAndSwap(false, true) {
+	w := d.claimWorker(i)
+	if w == nil {
 		return nil
 	}
 	d.cfg.Logf("stopping worker %s gracefully", w.id)
@@ -343,8 +350,7 @@ func (d *DevCluster) StopWorker(ctx context.Context, i int) error {
 	if derr := w.svc.Drain(ctx); derr != nil && err == nil {
 		err = fmt.Errorf("cluster: worker %s drain: %w", w.id, derr)
 	}
-	w.srv.Close() //nolint:errcheck // shutting down
-	w.svc.Close()
+	w.sever()
 	return err
 }
 
@@ -472,11 +478,14 @@ func (d *DevCluster) Run(ctx context.Context, exps []exper.Experiment) ([]harnes
 // coordinator generation.
 func (d *DevCluster) Registry() *telemetry.Registry { return d.cfg.Registry }
 
-// Close tears the cluster down: workers die (or are already dead), the
-// current coordinator generation stops, the journal closes.
+// Close tears the cluster down: live workers are severed as KillWorker
+// severs them, without its chaos log line, the current coordinator
+// generation stops, the journal closes.
 func (d *DevCluster) Close() {
 	for i := range d.workers {
-		d.KillWorker(i)
+		if w := d.claimWorker(i); w != nil {
+			w.sever()
+		}
 	}
 	d.mu.Lock()
 	coord, srv, down := d.coord, d.coordSrv, d.coordDown

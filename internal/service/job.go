@@ -105,25 +105,17 @@ func resolve(req SubmitRequest, edb cellDefaults) (resolved, error) {
 	if (req.Workload == "") == (req.Experiment == "") {
 		return resolved{}, fmt.Errorf("%w: exactly one of workload, experiment, or cell must be set", ErrBadRequest)
 	}
-	if req.Instrs == 0 {
-		req.Instrs = 20_000_000
-	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	if req.Seed == 0 {
-		req.Seed = 42
-	}
-	if req.Scale < 0 || req.Scale > 64 {
-		return resolved{}, fmt.Errorf("%w: scale %g out of range (0, 64]", ErrBadRequest, req.Scale)
-	}
-	if edb.maxInstrs > 0 && req.Instrs > edb.maxInstrs {
-		return resolved{}, fmt.Errorf("%w: instrs %d exceeds the admission cap %d", ErrBadRequest, req.Instrs, edb.maxInstrs)
+	opt := exper.Options{Instrs: req.Instrs, Scale: req.Scale, Seed: req.Seed}.WithDefaults()
+	if edb.maxInstrs > 0 && opt.Instrs > edb.maxInstrs {
+		return resolved{}, fmt.Errorf("%w: instrs %d exceeds the admission cap %d", ErrBadRequest, opt.Instrs, edb.maxInstrs)
 	}
 
 	if req.Experiment != "" {
 		if req.Config != "" || req.Interval != 0 {
 			return resolved{}, fmt.Errorf("%w: config/interval apply to cell jobs only", ErrBadRequest)
+		}
+		if err := opt.Check(); err != nil {
+			return resolved{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 		}
 		var e exper.Experiment
 		if ref, isTrace := strings.CutPrefix(req.Experiment, "trace:"); isTrace {
@@ -141,12 +133,12 @@ func resolve(req SubmitRequest, edb cellDefaults) (resolved, error) {
 			}
 		}
 		sum := sha256.Sum256([]byte(fmt.Sprintf("experiment|%s|instrs=%d|scale=%g|seed=%d",
-			e.ID, req.Instrs, req.Scale, req.Seed)))
+			e.ID, opt.Instrs, opt.Scale, opt.Seed)))
 		return resolved{
 			kind: kindExperiment,
 			key:  hex.EncodeToString(sum[:]),
 			expr: e,
-			opt:  exper.Options{Instrs: req.Instrs, Scale: req.Scale, Seed: req.Seed},
+			opt:  opt,
 		}, nil
 	}
 
@@ -170,18 +162,11 @@ func resolve(req SubmitRequest, edb cellDefaults) (resolved, error) {
 	if !ok {
 		return resolved{}, fmt.Errorf("%w: unknown config %q", ErrBadRequest, req.Config)
 	}
-	if err := checkSeries(req.Instrs, req.Interval); err != nil {
-		return resolved{}, err
-	}
 	p := core.DefaultParams(kind)
 	p.SeriesIntervalInstrs = req.Interval
-	j := exper.Job{
-		Spec:   spec,
-		Params: p,
-		Policy: core.PolicyFor(kind, 0.5),
-		Instrs: req.Instrs,
-		Scale:  req.Scale,
-		Seed:   req.Seed,
+	j := exper.NewJob(spec, p, opt)
+	if err := j.Check(); err != nil {
+		return resolved{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	return resolved{kind: kindCell, key: harness.JobKey(j), cell: j}, nil
 }

@@ -583,8 +583,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		err = ctx.Err()
-		s.cfg.Logf("drain deadline reached, cancelling in-flight jobs (checkpoints kept)")
+		// Queued jobs still run after the queue closes, so the job map
+		// says whether any work is left to cancel.
+		s.mu.Lock()
+		busy := len(s.jobs) > 0
+		s.mu.Unlock()
+		if busy {
+			err = ctx.Err()
+			s.cfg.Logf("drain deadline reached, cancelling in-flight jobs (checkpoints kept)")
+		}
 		s.runCancel()
 		<-done
 	}
@@ -593,7 +600,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close cancels everything immediately: Drain with an already-expired
-// deadline.
+// deadline, which logs a cancellation only when a job was in flight.
 func (s *Server) Close() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -504,6 +504,7 @@ func TestResolveValidation(t *testing.T) {
 		{"negative scale", SubmitRequest{Workload: "mcf", Config: "4KB", Scale: -1}, 0, "out of range"},
 		{"over the cap", SubmitRequest{Workload: "mcf", Config: "4KB", Instrs: 2_000_000}, 1_000_000, "admission cap"},
 		{"series too long", SubmitRequest{Workload: "mcf", Config: "4KB", Interval: 1}, 0, "1048576-point bound"},
+		{"experiment scale too large", SubmitRequest{Experiment: "fig2", Scale: 65}, 0, "out of range"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -69,80 +69,25 @@ func EncodeJob(j exper.Job) WireJob {
 	}
 }
 
-// Bounds on the cells a worker accepts, so a hostile payload cannot
-// make it allocate without limit. Each admits every cell the suite
-// plans at the largest accepted scale (64): the biggest catalog
-// footprint, mcf's 1.66 GiB, models about 106 GiB there; no
-// experiment sizes a translation structure beyond a few hundred
-// entries; and the interval experiments collect max(16, Instrs/1 M)
-// points per series.
-const (
-	maxCellFootprintBytes = 128 << 30
-	maxStructureEntries   = 1 << 16
-	maxSeriesPoints       = 1 << 20
-)
-
-// checkSeries refuses a series interval that would collect more than
-// maxSeriesPoints points (Instrs/Interval) in each of a cell's three
-// float64 series.
-func checkSeries(instrs, interval uint64) error {
-	if interval > 0 && instrs/interval > maxSeriesPoints {
-		return fmt.Errorf("%w: interval %d over %d instrs collects %d points per series, above the %d-point bound",
-			ErrBadRequest, interval, instrs, instrs/interval, maxSeriesPoints)
-	}
-	return nil
-}
-
-// Job rebuilds the executable cell and validates it, so a malformed or
-// hostile payload is rejected at the worker boundary instead of
-// panicking inside the simulator.
+// Job rebuilds the executable cell and checks it (exper.Job.Check),
+// so a malformed or hostile payload is refused at the worker boundary
+// instead of panicking or allocating without limit inside the
+// simulator. Every refusal wraps ErrBadRequest.
 func (w WireJob) Job() (exper.Job, error) {
-	p := w.Params
 	if len(w.EnergyDB) == 0 {
 		return exper.Job{}, fmt.Errorf("%w: cell carries no energy database", ErrBadRequest)
-	}
-	p.EnergyDB = energy.FromEntries(w.EnergyDB)
-	if err := p.Validate(); err != nil {
-		return exper.Job{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if w.Spec.Name == "" {
 		return exper.Job{}, fmt.Errorf("%w: cell spec has no workload name", ErrBadRequest)
 	}
-	if w.Instrs == 0 || w.Scale <= 0 || w.Scale > 64 {
+	if w.Instrs == 0 || w.Scale <= 0 {
 		return exper.Job{}, fmt.Errorf("%w: cell instrs=%d scale=%g out of range", ErrBadRequest, w.Instrs, w.Scale)
 	}
-	if err := checkSeries(w.Instrs, p.SeriesIntervalInstrs); err != nil {
-		return exper.Job{}, err
+	p := w.Params
+	p.EnergyDB = energy.FromEntries(w.EnergyDB)
+	j := exper.Job{Spec: w.Spec, Params: p, Policy: w.Policy, Instrs: w.Instrs, Scale: w.Scale, Seed: w.Seed}
+	if err := j.Check(); err != nil {
+		return exper.Job{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	// Summed in float64 so that hostile region sizes cannot wrap
-	// around to a small total.
-	var footprint float64
-	for _, r := range w.Spec.Regions {
-		footprint += float64(r.Bytes)
-	}
-	if footprint*w.Scale > maxCellFootprintBytes {
-		return exper.Job{}, fmt.Errorf("%w: cell footprint %.0f bytes at scale %g exceeds the %d-byte bound",
-			ErrBadRequest, footprint*w.Scale, w.Scale, maxCellFootprintBytes)
-	}
-	for _, s := range []struct {
-		name    string
-		entries int
-	}{
-		{"L1 4KB TLB", p.L14KEntries}, {"L1 2MB TLB", p.L12MEntries}, {"L2 TLB", p.L2Entries},
-		{"L1 range TLB", p.L1RangeEntries}, {"L2 range TLB", p.L2RangeEntries},
-		{"page-size predictor", p.PredictorEntries},
-	} {
-		if s.entries > maxStructureEntries {
-			return exper.Job{}, fmt.Errorf("%w: cell %s has %d entries, above the %d-entry bound",
-				ErrBadRequest, s.name, s.entries, maxStructureEntries)
-		}
-	}
-	return exper.Job{
-		Spec:   w.Spec,
-		Params: p,
-		Policy: w.Policy,
-		Instrs: w.Instrs,
-		Scale:  w.Scale,
-		Seed:   w.Seed,
-	}, nil
+	return j, nil
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -157,12 +158,15 @@ func TestWireJobRejectsHostileSizes(t *testing.T) {
 			w.Spec.Regions[1].Bytes, w.Spec.Regions[2].Bytes = 1<<63, 1<<63
 		}, "137438953472-byte bound"},
 		{"footprint at scale", func(w *WireJob) { w.Spec.Regions[0].Bytes = 4 << 30; w.Scale = 64 }, "137438953472-byte bound"},
-		{"L1 4KB", func(w *WireJob) { w.Params.L14KEntries, w.Params.L14KWays = 1<<20, 4 }, "L1 4KB TLB has 1048576 entries, above the 65536-entry bound"},
+		{"L1 4KB", func(w *WireJob) { w.Params.L14KEntries, w.Params.L14KWays = 1<<20, 4 }, "L1-4KB TLB has 1048576 entries, above the 65536-entry bound"},
 		{"L1 2MB", func(w *WireJob) { w.Params.L12MEntries, w.Params.L12MWays = 1<<20, 4 }, "65536-entry bound"},
 		{"L2", func(w *WireJob) { w.Params.L2Entries, w.Params.L2Ways = 1<<20, 4 }, "65536-entry bound"},
 		{"L1 range", func(w *WireJob) { w.Params.L1RangeEntries = 1 << 20 }, "65536-entry bound"},
 		{"L2 range", func(w *WireJob) { w.Params.L2RangeEntries = 1 << 20 }, "65536-entry bound"},
 		{"predictor", func(w *WireJob) { w.Params.PredictorEntries = 1 << 20 }, "page-size predictor has 1048576 entries"},
+		{"PDE", func(w *WireJob) { w.Params.MMU.PDEEntries, w.Params.MMU.PDEWays = 1<<22, 2 }, "MMU-cache-PDE has 4194304 entries"},
+		{"PDPTE", func(w *WireJob) { w.Params.MMU.PDPTEEntries = 1 << 22 }, "MMU-cache-PDPTE has 4194304 entries"},
+		{"PML4", func(w *WireJob) { w.Params.MMU.PML4Entries = 1 << 22 }, "MMU-cache-PML4 has 4194304 entries"},
 		{"series", func(w *WireJob) { w.Instrs, w.Params.SeriesIntervalInstrs = 20_000_000, 1 }, "1048576-point bound"},
 	}
 	for _, tc := range cases {
@@ -173,6 +177,24 @@ func TestWireJobRejectsHostileSizes(t *testing.T) {
 		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Job() = %v, want ErrBadRequest naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// A structure whose ways equal its entries is refused by its entry
+// bound before any energy-cost slice is sized by its ways.
+func TestWireJobRefusesWideStructureCheaply(t *testing.T) {
+	w := EncodeJob(wireTestJob(t))
+	w.Params.L14KEntries, w.Params.L14KWays = 1<<22, 1<<22
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := w.Job()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "65536-entry bound") {
+		t.Fatalf("Job() = %v, want ErrBadRequest naming the entry bound", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("refusing the cell allocated %d bytes, want < 4 MiB", alloc)
 	}
 }
 

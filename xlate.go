@@ -36,10 +36,12 @@ import (
 // internal invariant violations.
 var (
 	// ErrInvalidParams is wrapped by every Params validation failure
-	// (bad TLB geometry, range-TLB capacities, latencies, thresholds).
+	// (bad TLB geometry, a structure above 65,536 entries, latencies,
+	// thresholds, a series above 1<<20 points).
 	ErrInvalidParams = core.ErrInvalidParams
 	// ErrInvalidWorkload is wrapped by every workload-model validation
-	// failure (empty regions, bad Zipf exponents, zero strides).
+	// failure (empty regions, bad Zipf exponents, zero strides, a scale
+	// above 64, a footprint above 128 GiB at its scale).
 	ErrInvalidWorkload = workloads.ErrInvalidSpec
 )
 
@@ -150,13 +152,12 @@ func RunParamsContext(ctx context.Context, w Workload, p Params, instrs uint64, 
 	return exper.ExecuteJobContext(ctx, opt.job(w, p, instrs))
 }
 
-// job is the cell the facade runs: the workload built under the
-// configuration's OS policy, with the seed-42 default applied.
+// job is the cell the facade runs (exper.NewJob) at exactly instrs
+// instructions.
 func (o RunOptions) job(w Workload, p Params, instrs uint64) exper.Job {
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	return exper.Job{Spec: w, Params: p, Policy: core.PolicyFor(p.Kind, 0.5), Instrs: instrs, Scale: o.Scale, Seed: o.Seed}
+	j := exper.NewJob(w, p, exper.Options{Scale: o.Scale, Seed: o.Seed})
+	j.Instrs = instrs
+	return j
 }
 
 // RunMulticore simulates a multi-threaded process: one address space,

@@ -42,6 +42,7 @@ func TestInvalidParamsRejected(t *testing.T) {
 		{"Lite reactivation probability above 1", func(p *xlate.Params) { p.Lite.ReactivateProb = 2 }},
 		{"non-power-of-two ways under Lite", func(p *xlate.Params) { p.L14KEntries, p.L14KWays = 60, 3 }},
 		{"zero MMU PDE entries", func(p *xlate.Params) { p.MMU.PDEEntries = 0 }},
+		{"MMU PDE cache above the entry bound", func(p *xlate.Params) { p.MMU.PDEEntries = 1 << 22 }},
 		{"config kind past the last configuration", func(p *xlate.Params) { p.Kind = 99 }},
 		{"negative config kind", func(p *xlate.Params) { p.Kind = -1 }},
 	}
