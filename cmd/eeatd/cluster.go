@@ -160,9 +160,7 @@ func runDevCluster(o clusterOpts) int {
 	var dev *cluster.DevCluster
 	sess, err := o.startObs(func() any {
 		if dev != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			return dev.Coordinator().Status(sctx)
+			return dev.Coordinator().Status()
 		}
 		return nil
 	})
@@ -251,9 +249,7 @@ func runCoordinator(o clusterOpts) int {
 	var coord *cluster.Coordinator
 	sess, err := o.startObs(func() any {
 		if coord != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			return coord.Status(sctx)
+			return coord.Status()
 		}
 		return nil
 	})
@@ -292,7 +288,7 @@ func runCoordinator(o clusterOpts) int {
 	srv := service.NewHTTPServer(coord.Handler())
 	go srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	defer srv.Close()
-	o.logf("coordinator on http://%s (POST /v1/cluster/join; /status, /metrics, /v1/cluster/metrics)", ln.Addr())
+	o.logf("coordinator on http://%s (POST /v1/cluster/join; /status, /metrics)", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -268,25 +268,6 @@ func (c *Client) RunCell(ctx context.Context, req service.SubmitRequest) (servic
 	return out, st, nil
 }
 
-// Status fetches the daemon's /status snapshot and returns its service
-// half (queue depth, in-flight jobs, cache occupancy). The cluster
-// coordinator uses it to report per-worker queue depth in the
-// cluster-wide status; one attempt, no retries — a status probe that
-// can't answer promptly is itself the signal.
-func (c *Client) Status(ctx context.Context) (service.StatusSnapshot, error) {
-	var doc struct {
-		Run service.StatusSnapshot `json:"run"`
-	}
-	code, err := c.getJSON(ctx, c.Base+"/status", &doc)
-	if err != nil {
-		return service.StatusSnapshot{}, fmt.Errorf("client: status: %w", err)
-	}
-	if code != http.StatusOK {
-		return service.StatusSnapshot{}, fmt.Errorf("client: status: %w: HTTP %d", ErrUnavailable, code)
-	}
-	return doc.Run, nil
-}
-
 func (c *Client) getJSON(ctx context.Context, url string, v any) (int, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

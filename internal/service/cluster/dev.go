@@ -422,8 +422,8 @@ func (d *DevCluster) RestartCoordinator(ctx context.Context) error {
 }
 
 // CoordinatorBase returns the coordinator's base URL, stable across
-// generations — tests and the load harness hit its /status and
-// /v1/cluster/metrics endpoints through it.
+// generations — tests hit its /status and /metrics endpoints through
+// it.
 func (d *DevCluster) CoordinatorBase() string { return d.coordBase }
 
 // Coordinator returns the current coordinator generation.

@@ -31,14 +31,12 @@ type joinRequest struct {
 //	POST /v1/cluster/join       {"id","addr"} — register / rejoin
 //	POST /v1/cluster/heartbeat  {"id"}        — 404 asks the worker to rejoin
 //	POST /v1/cluster/leave      {"id"}        — graceful deregistration
-//	GET  /v1/cluster/workers                  — registry snapshot
-//	GET  /v1/cluster/metrics                  — federated worker metrics
 //	GET  /status                              — cluster status + registry
 //	GET  /metrics, /healthz
 //
-// /metrics is the coordinator's own registry; /v1/cluster/metrics
-// scrapes every live worker and merges their registries into one
-// exposition (summed counters, merged histograms, per-worker series).
+// /metrics and /status report only coordinator state: its registry,
+// ring and cells. Each worker serves its own /metrics and /status at
+// the base its /status row lists.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
@@ -72,18 +70,6 @@ func (c *Coordinator) Handler() http.Handler {
 		c.RemoveWorker(req.ID)
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("/v1/cluster/workers", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(c.Workers()) //nolint:errcheck // best-effort status surface
-	})
-	mux.HandleFunc("/v1/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := c.FederatedMetrics(r.Context(), w); err != nil {
-			c.cfg.Logf("federated metrics: %v", err)
-		}
-	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -97,11 +83,7 @@ func (c *Coordinator) Handler() http.Handler {
 		mux.Handle("/v1/traces/", api)
 	}
 	mux.Handle("/metrics", telemetry.MetricsHandler(c.cfg.Registry))
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		telemetry.StatusHandler(c.cfg.Registry, func() any {
-			return c.Status(r.Context())
-		}).ServeHTTP(w, r)
-	})
+	mux.Handle("/status", telemetry.StatusHandler(c.cfg.Registry, func() any { return c.Status() }))
 	return mux
 }
 

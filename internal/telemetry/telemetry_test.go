@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -152,5 +153,28 @@ func TestServer(t *testing.T) {
 	st := get("/status")
 	if !strings.Contains(st, `"cells": 5`) || !strings.Contains(st, "xlate_served_total") {
 		t.Errorf("/status missing run info or metrics:\n%s", st)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	h := newHistogram([]float64{1, 2, 4, 8})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Errorf("empty histogram quantile = %v, want 0", got)
+	}
+	// 100 samples uniformly in (1,2]: the whole distribution sits in
+	// bucket (1,2], so quantiles interpolate linearly across it.
+	for i := 0; i < 100; i++ {
+		h.Observe(1.5)
+	}
+	if got := h.Quantile(0.5); math.Abs(got-1.5) > 1e-9 {
+		t.Errorf("p50 = %v, want 1.5", got)
+	}
+	if got := h.Quantile(1); math.Abs(got-2) > 1e-9 {
+		t.Errorf("p100 = %v, want 2 (bucket upper bound)", got)
+	}
+	// A sample beyond the last finite bound clamps there.
+	h.Observe(100)
+	if got := h.Quantile(1); got != 8 {
+		t.Errorf("p100 with +Inf sample = %v, want clamp to 8", got)
 	}
 }

@@ -109,3 +109,37 @@ func TestTracerEmitAfterCloseDropped(t *testing.T) {
 		t.Fatalf("emit after close corrupted the trace: %s", b.String())
 	}
 }
+
+func TestTracerEmitSpan(t *testing.T) {
+	var chrome strings.Builder
+	tr := NewTracer(&chrome, TraceChrome, 1)
+	span := tr.NextSpan()
+	tr.EmitSpan(3, 1000, 250, "cluster", "dispatch", KV{"span", span}, KV{"cell", "abc"})
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"ph":"X"`, `"ts":1000`, `"dur":250`, `"tid":3`, `"span":1`} {
+		if !strings.Contains(chrome.String(), want) {
+			t.Errorf("Chrome span missing %s:\n%s", want, chrome.String())
+		}
+	}
+
+	var jsonl strings.Builder
+	tr2 := NewTracer(&jsonl, TraceJSONL, 1)
+	tr2.EmitSpan(1, 5, 9, "cluster", "worker_exec")
+	if err := tr2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(jsonl.String(), `"dur":9`) {
+		t.Errorf("JSONL span missing dur:\n%s", jsonl.String())
+	}
+}
+
+// TraceContext rides the per-cell dispatch path; its methods must stay
+// allocation-free (the hotpath analyzer checks the same statically).
+func TestTraceContextValidAllocFree(t *testing.T) {
+	ctx := TraceContext{TraceID: "abc", ParentSpan: 7}
+	if n := testing.AllocsPerRun(1000, func() { _ = ctx.Valid() }); n != 0 {
+		t.Fatalf("TraceContext.Valid allocates %v per op, want 0", n)
+	}
+}

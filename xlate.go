@@ -163,9 +163,13 @@ func (o RunOptions) job(w Workload, p Params, instrs uint64) exper.Job {
 // RunMulticore simulates a multi-threaded process: one address space,
 // one private TLB hierarchy per core, one reference thread per core
 // (decorrelated seeds). It returns the per-core results and their
-// aggregate. Deterministic regardless of goroutine scheduling.
+// aggregate. Deterministic regardless of goroutine scheduling. A scale
+// outside (0, 64] is refused with ErrInvalidWorkload, as in RunParams.
 func RunMulticore(w Workload, cfg Config, cores int, instrsPerCore uint64, opt RunOptions) ([]Result, Result, error) {
 	j := opt.job(w, DefaultParams(cfg), instrsPerCore)
+	if err := j.Check(); err != nil {
+		return nil, Result{}, err
+	}
 	as, gens, err := w.BuildThreads(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale}, cores)
 	if err != nil {
 		return nil, Result{}, err
@@ -216,9 +220,13 @@ func WriteTrace(w io.Writer, refs []Ref) error { return trace.WriteAll(w, refs) 
 func ReadTrace(r io.Reader) ([]Ref, error) { return trace.ReadAll(r) }
 
 // RecordTrace runs a workload's generator for n references and returns
-// them, e.g. to serialize with WriteTrace for later replay.
+// them, e.g. to serialize with WriteTrace for later replay. A scale
+// outside (0, 64] is refused with ErrInvalidWorkload, as in RunParams.
 func RecordTrace(w Workload, cfg Config, n int, opt RunOptions) ([]Ref, error) {
 	j := opt.job(w, DefaultParams(cfg), 0)
+	if err := j.Check(); err != nil {
+		return nil, err
+	}
 	_, gen, err := w.Build(workloads.BuildOptions{Policy: j.Policy, Seed: j.Seed, Scale: j.Scale})
 	if err != nil {
 		return nil, err

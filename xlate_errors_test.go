@@ -98,6 +98,25 @@ func TestInvalidWorkloadRejected(t *testing.T) {
 	}
 }
 
+// TestScaleOutOfRangeRejected asserts that every entry point that
+// builds a workload refuses a scale outside (0, 64] before building it.
+func TestScaleOutOfRangeRejected(t *testing.T) {
+	w, err := xlate.WorkloadByName("gobmk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := xlate.RunOptions{Scale: 100}
+	if _, err := xlate.RunParams(w, xlate.DefaultParams(xlate.CfgTHP), 1000, opt); !errors.Is(err, xlate.ErrInvalidWorkload) {
+		t.Errorf("RunParams(scale 100) = %v, want ErrInvalidWorkload", err)
+	}
+	if refs, err := xlate.RecordTrace(w, xlate.CfgTHP, 10, opt); !errors.Is(err, xlate.ErrInvalidWorkload) {
+		t.Errorf("RecordTrace(scale 100) = %d refs, %v; want ErrInvalidWorkload", len(refs), err)
+	}
+	if _, agg, err := xlate.RunMulticore(w, xlate.CfgTHP, 2, 1000, opt); !errors.Is(err, xlate.ErrInvalidWorkload) {
+		t.Errorf("RunMulticore(scale 100) = %d instrs, %v; want ErrInvalidWorkload", agg.Instructions, err)
+	}
+}
+
 // TestLookupErrorsWrapSentinels asserts that the name-based lookup
 // entry points wrap the typed sentinels with %w, so callers can route
 // on errors.Is instead of string matching.
